@@ -8,8 +8,9 @@ type t = {
   enable_prune : bool;
   mutable round : int;
   pt : Bitset.t;
-  graph : Lgraph.t;
-  scratch : Lgraph.t; (* reused accumulator for the per-round rebuild *)
+  mutable graph : Lgraph.t;
+      (* sealed: built fresh each round and never mutated once installed,
+         so the handles [message] and [graph_view] hand out stay valid *)
   mutable sc_cache : bool option;
       (* memoized strong-connectivity certificate of [graph]; valid
          because labels refresh every round but the support goes stable
@@ -27,14 +28,13 @@ let create ?(enable_purge = true) ?(enable_prune = true) ~n ~self () =
     round = 0;
     pt = Bitset.full n;
     graph = Lgraph.create n ~self;
-    scratch = Lgraph.create n ~self;
     sc_cache = None;
   }
 
 let n t = t.order
 let self t = t.owner
 let rounds_done t = t.round
-let message t = Lgraph.copy t.graph
+let message t = Lgraph.copy t.graph (* copy-on-write: no buffer is copied *)
 
 let step t ~round ~received =
   if round <> t.round + 1 then
@@ -55,31 +55,30 @@ let step t ~round ~received =
     | None -> ()
   done;
   Bitset.inter_into ~into:t.pt heard;
-  (* Lines 15–23: rebuild G_p.  We fold the received graphs of timely
-     senders with per-edge max (Lines 19–23), then overwrite the fresh
-     timely edges (q --round--> p) (Line 17) — [round] exceeds every label
-     in any received graph, so overwriting preserves the max semantics. *)
-  Lgraph.reset t.scratch ~self:t.owner;
+  (* Lines 15–24: rebuild G_p in a fresh graph — the previous one may be
+     out as a message.  We fold the received graphs of timely senders
+     with per-edge max (Lines 19–23), dropping labels <= round - n on the
+     way in (Line 24, fused: a purged label is never copied), then
+     overwrite the fresh timely edges (q --round--> p) (Line 17) —
+     [round] exceeds every label in any received graph, so overwriting
+     preserves the max semantics, and it is never stale. *)
+  let g = Lgraph.create t.order ~self:t.owner in
+  let above = if t.enable_purge then round - t.order else 0 in
   Bitset.iter
     (fun q ->
       match inboxes.(q) with
-      | Some g -> Lgraph.merge_max_into ~into:t.scratch g
+      | Some m -> Lgraph.merge_max_into ~above ~into:g m
       | None -> ())
     t.pt;
-  Bitset.iter
-    (fun q -> Lgraph.set_edge t.scratch q t.owner ~label:round)
-    t.pt;
-  (* Line 24: drop labels <= round - n. *)
-  if t.enable_purge then Lgraph.purge t.scratch ~upto:(round - t.order);
+  Bitset.iter (fun q -> Lgraph.set_edge g q t.owner ~label:round) t.pt;
   (* Line 25: drop nodes that cannot reach p. *)
-  if t.enable_prune then Lgraph.prune_unreachable t.scratch ~self:t.owner;
+  if t.enable_prune then Lgraph.prune_unreachable g ~self:t.owner;
   (* Strong connectivity only reads the support (nodes + edge presence),
      which the rebuild usually reproduces exactly once the run settles —
      only the labels keep rotating.  Keep the memoized certificate alive
      across support-stable rounds. *)
-  if not (Lgraph.same_support t.graph t.scratch) then t.sc_cache <- None;
-  (* Install the rebuilt graph by O(1) double-buffer swap. *)
-  Lgraph.swap t.graph t.scratch
+  if not (Lgraph.same_support t.graph g) then t.sc_cache <- None;
+  t.graph <- g
 
 let pt t = Bitset.copy t.pt
 let pt_mem t q = Bitset.mem t.pt q

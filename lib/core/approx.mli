@@ -35,7 +35,13 @@ val self : t -> int
 (** [rounds_done t] — how many rounds have been absorbed. *)
 val rounds_done : t -> int
 
-(** [message t] is the graph to broadcast this round: a copy of [G_p]. *)
+(** [message t] is the graph to broadcast this round: [G_p], sealed.
+    {!step} builds each round's graph in a fresh buffer and never mutates
+    a graph once installed, so the message is handed out without copying
+    ({!Lgraph.copy} is copy-on-write) and stays unchanged however many
+    rounds its sender steps afterwards — late delivery that buffers
+    messages ([Ssg_timing.Round_sync]) relies on this.  Mutating the
+    returned graph detaches it from [t] and leaves [t] unaffected. *)
 val message : t -> Lgraph.t
 
 (** [step t ~round ~received] performs the round-[round] update.
@@ -55,8 +61,9 @@ val pt_mem : t -> int -> bool
 (** [graph t] is a copy of the current approximation [G_p]. *)
 val graph : t -> Lgraph.t
 
-(** [graph_view t] is the internal graph, {e borrowed}: do not mutate;
-    invalidated by the next [step]. *)
+(** [graph_view t] is the internal graph, {e borrowed}: do not mutate.
+    Not invalidated by [step]: the next round's graph is a new value, so
+    a view keeps showing the round it was taken in. *)
 val graph_view : t -> Lgraph.t
 
 (** [is_strongly_connected t] — the decision test of Line 28.  Memoized

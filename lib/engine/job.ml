@@ -1,3 +1,4 @@
+open Ssg_graph
 open Ssg_rounds
 open Ssg_adversary
 open Ssg_sim
@@ -11,6 +12,7 @@ type t = {
   inputs : int array option;
   rounds : int option;
   monitor : bool;
+  key : string;
 }
 
 let algorithm_name = function
@@ -22,7 +24,49 @@ let algorithm_name = function
 let is_default_inputs n inputs =
   Array.length inputs = n && Array.for_all2 ( = ) inputs (Array.init n Fun.id)
 
-(* [adv] is the already-parsed form of [run] (canonical text). *)
+(* The cache key: the header fields as text, each closed by a NUL, then
+   the run in binary — n and the prefix length as 32-bit big-endian
+   words, and each prefix graph followed by the stable graph as an n×n
+   adjacency bitset (bit q*n + p of the graph's bytes, lowest bit first,
+   is edge q -> p).  The header fields contain no NUL and the binary
+   part has a width fixed by n and the prefix length, so two keys are
+   equal iff every field and every graph is: exactly the canonical run
+   text's information, at 1 bit per matrix cell instead of ~5 bytes per
+   edge. *)
+let key_of ~algorithm ~k ~inputs ~rounds ~monitor adv =
+  let n = Adversary.n adv and prefix = Adversary.prefix_length adv in
+  let graph_bytes = ((n * n) + 7) / 8 in
+  let buf = Buffer.create (64 + 8 + ((prefix + 1) * graph_bytes)) in
+  let field s =
+    Buffer.add_string buf s;
+    Buffer.add_char buf '\x00'
+  in
+  field (algorithm_name algorithm);
+  field (string_of_int k);
+  field
+    (match inputs with
+    | None -> "default"
+    | Some xs ->
+        String.concat "" (List.map (fun x -> string_of_int x ^ ",") (Array.to_list xs)));
+  field (match rounds with None -> "horizon" | Some r -> string_of_int r);
+  field (if monitor then "mon" else "nomon");
+  Buffer.add_int32_be buf (Int32.of_int n);
+  Buffer.add_int32_be buf (Int32.of_int prefix);
+  let bits = Bytes.create graph_bytes in
+  for r = 1 to prefix + 1 do
+    let g = Adversary.graph adv r in
+    Bytes.fill bits 0 graph_bytes '\x00';
+    for q = 0 to n - 1 do
+      Digraph.iter_succs g q (fun p ->
+          let i = (q * n) + p in
+          let byte = Bytes.get_uint8 bits (i lsr 3) in
+          Bytes.set_uint8 bits (i lsr 3) (byte lor (1 lsl (i land 7))))
+    done;
+    Buffer.add_bytes buf bits
+  done;
+  Buffer.contents buf
+
+(* [adv] is the parsed form of [run] (canonical text). *)
 let build ~run ~adv ?(algorithm = Kset) ?(k = 1) ?inputs ?rounds
     ?(monitor = false) () =
   if k < 1 then invalid_arg "Job: k must be >= 1";
@@ -35,13 +79,15 @@ let build ~run ~adv ?(algorithm = Kset) ?(k = 1) ?inputs ?rounds
     | other -> other
   in
   let monitor = monitor && algorithm = Kset in
-  { run; algorithm; k; inputs; rounds; monitor }
+  let key = key_of ~algorithm ~k ~inputs ~rounds ~monitor adv in
+  { run; algorithm; k; inputs; rounds; monitor; key }
 
 let make ?algorithm ?k ?inputs ?rounds ?monitor adv =
   (* to_string raises Invalid_argument on recurrent runs; round-tripping
      through of_string yields the canonical text (sorted edges, no
      comments) and keeps [run] independent of the adversary's name. *)
-  let run = Run_format.to_string (Run_format.of_string (Run_format.to_string adv)) in
+  let adv = Run_format.of_string (Run_format.to_string adv) in
+  let run = Run_format.to_string adv in
   build ~run ~adv ?algorithm ?k ?inputs ?rounds ?monitor ()
 
 let of_run_text ?algorithm ?k ?inputs ?rounds ?monitor text =
@@ -49,31 +95,8 @@ let of_run_text ?algorithm ?k ?inputs ?rounds ?monitor text =
   let run = Run_format.to_string adv in
   build ~run ~adv ?algorithm ?k ?inputs ?rounds ?monitor ()
 
-let key job =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (algorithm_name job.algorithm);
-  Buffer.add_char buf '\x00';
-  Buffer.add_string buf (string_of_int job.k);
-  Buffer.add_char buf '\x00';
-  (match job.inputs with
-  | None -> Buffer.add_string buf "default"
-  | Some xs ->
-      Array.iter
-        (fun x ->
-          Buffer.add_string buf (string_of_int x);
-          Buffer.add_char buf ',')
-        xs);
-  Buffer.add_char buf '\x00';
-  (match job.rounds with
-  | None -> Buffer.add_string buf "horizon"
-  | Some r -> Buffer.add_string buf (string_of_int r));
-  Buffer.add_char buf '\x00';
-  Buffer.add_string buf (if job.monitor then "mon" else "nomon");
-  Buffer.add_char buf '\x00';
-  Buffer.add_string buf job.run;
-  Buffer.contents buf
-
-let equal a b = key a = key b
+let key job = job.key
+let equal a b = String.equal a.key b.key
 
 type outcome = {
   algorithm : string;

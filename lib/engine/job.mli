@@ -25,6 +25,7 @@ type t = private {
   inputs : int array option;  (** [None] = distinct inputs [0..n-1] *)
   rounds : int option;  (** [None] = the run's decision horizon *)
   monitor : bool;  (** lemma monitors (Algorithm 1 only) *)
+  key : string;  (** the cache key, computed once by the constructors; see {!key} *)
 }
 
 (** [make adv] builds a job from an in-memory run description.
@@ -54,7 +55,16 @@ val of_run_text :
   t
 
 (** [key job] — the canonical cache/dedup key.  [key a = key b] iff the
-    jobs request the same simulation. *)
+    jobs request the same simulation.
+
+    A compact exact binary string, not the run text: the header fields
+    (algorithm, [k], inputs, round budget, monitor switch) as text, each
+    closed by a NUL byte, then [n] and the prefix length as 32-bit
+    big-endian words, then each prefix graph and the stable graph as a
+    fixed-width [n×n] adjacency bitset.  Equal keys iff equal canonical
+    run texts and equal header fields.  Computed once when the job is
+    built, so this is a field read.  Keys contain arbitrary bytes: every
+    carrier (store records, wire frames) length-prefixes them. *)
 val key : t -> string
 
 val equal : t -> t -> bool

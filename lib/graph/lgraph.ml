@@ -3,8 +3,29 @@ open Ssg_util
 (* Dense n×n label matrix; labels.(q*n + p) is the label of edge q -> p,
    0 when absent.  The node set is tracked separately because Algorithm 1
    distinguishes isolated nodes (members of V_p without edges) from absent
-   ones. *)
-type t = { n : int; mutable nodes : Bitset.t; mutable labels : int array }
+   ones.
+
+   Beside the labels, one edge-presence bitset per row, [w] words each:
+   bit (p mod word_bits) of support.(q*w + p / word_bits) is set iff
+   labels.(q*n + p) > 0.  Every mutator keeps this support invariant, so
+   label-blind work (support comparison, edge counts, pruning) reads
+   words, and every pass over edges visits the set bits of non-empty
+   rows only.
+
+   [shared] is the copy-on-write mark.  [copy] returns a second record
+   over the same buffers and marks both; a mutator on a shared record
+   first moves it onto private buffers, so neither handle ever observes
+   the other's writes. *)
+type t = {
+  n : int;
+  w : int;
+  mutable nodes : Bitset.t;
+  mutable labels : int array;
+  mutable support : int array;
+  mutable shared : bool;
+}
+
+let wb = Bitset.word_bits
 
 let check_node g i =
   if i < 0 || i >= g.n then
@@ -12,37 +33,82 @@ let check_node g i =
 
 let create n ~self =
   if n <= 0 then invalid_arg "Lgraph.create: empty universe";
-  let g = { n; nodes = Bitset.create n; labels = Array.make (n * n) 0 } in
+  let w = ((n - 1) / wb) + 1 in
+  let g =
+    {
+      n;
+      w;
+      nodes = Bitset.create n;
+      labels = Array.make (n * n) 0;
+      support = Array.make (n * w) 0;
+      shared = false;
+    }
+  in
   check_node g self;
   Bitset.add g.nodes self;
   g
 
 let capacity g = g.n
 
+(* Move a shared record onto private copies of its buffers. *)
+let own g =
+  if g.shared then begin
+    g.nodes <- Bitset.copy g.nodes;
+    g.labels <- Array.copy g.labels;
+    g.support <- Array.copy g.support;
+    g.shared <- false
+  end
+
+(* Zero row [q]: its labels at the set bits of its support, then the
+   support words. *)
+let clear_row g q =
+  let base = q * g.w in
+  for i = 0 to g.w - 1 do
+    let bits = ref g.support.(base + i) in
+    if !bits <> 0 then begin
+      let lbase = (q * g.n) + (i * wb) in
+      while !bits <> 0 do
+        g.labels.(lbase + Bitset.lowest_bit !bits) <- 0;
+        bits := !bits land (!bits - 1)
+      done;
+      g.support.(base + i) <- 0
+    end
+  done
+
 let reset g ~self =
   check_node g self;
-  Bitset.clear g.nodes;
-  Bitset.add g.nodes self;
-  Array.fill g.labels 0 (Array.length g.labels) 0
+  if g.shared then begin
+    (* the shared buffers stay with the other handle; nothing to copy *)
+    g.nodes <- Bitset.create g.n;
+    g.labels <- Array.make (g.n * g.n) 0;
+    g.support <- Array.make (g.n * g.w) 0;
+    g.shared <- false
+  end
+  else begin
+    Bitset.clear g.nodes;
+    for q = 0 to g.n - 1 do
+      clear_row g q
+    done
+  end;
+  Bitset.add g.nodes self
 
 let copy g =
-  { n = g.n; nodes = Bitset.copy g.nodes; labels = Array.copy g.labels }
+  g.shared <- true;
+  { g with shared = true }
 
 let equal a b =
   a.n = b.n && Bitset.equal a.nodes b.nodes && a.labels = b.labels
 
-(* Same node set and same edge-presence pattern, labels ignored.  One
-   linear pass over the label matrix, no allocation — cheaper than any
-   traversal, and the key to memoizing label-blind derivations (strong
-   connectivity) across rounds that only refresh labels. *)
+(* Same node set and same edge-presence pattern, labels ignored: a
+   compare of the support rows, no allocation — the key to memoizing
+   label-blind derivations (strong connectivity) across rounds that only
+   refresh labels. *)
 let same_support a b =
   a.n = b.n
   && Bitset.equal a.nodes b.nodes
   &&
-  let len = Array.length a.labels in
-  let rec go i =
-    i >= len || (a.labels.(i) > 0 == (b.labels.(i) > 0) && go (i + 1))
-  in
+  let len = Array.length a.support in
+  let rec go i = i >= len || (a.support.(i) = b.support.(i) && go (i + 1)) in
   go 0
 
 let mem_node g p =
@@ -51,6 +117,7 @@ let mem_node g p =
 
 let add_node g p =
   check_node g p;
+  own g;
   Bitset.add g.nodes p
 
 let nodes g = Bitset.copy g.nodes
@@ -67,28 +134,36 @@ let set_edge g q p ~label =
   check_node g q;
   check_node g p;
   if label <= 0 then invalid_arg "Lgraph.set_edge: label must be positive";
+  own g;
   Bitset.add g.nodes q;
   Bitset.add g.nodes p;
-  g.labels.((q * g.n) + p) <- label
+  g.labels.((q * g.n) + p) <- label;
+  let i = (q * g.w) + (p / wb) in
+  g.support.(i) <- g.support.(i) lor (1 lsl (p mod wb))
 
 let remove_edge g q p =
   check_node g q;
   check_node g p;
-  g.labels.((q * g.n) + p) <- 0
+  own g;
+  g.labels.((q * g.n) + p) <- 0;
+  let i = (q * g.w) + (p / wb) in
+  g.support.(i) <- g.support.(i) land lnot (1 lsl (p mod wb))
 
 let iter_edges g f =
   for q = 0 to g.n - 1 do
-    let base = q * g.n in
-    for p = 0 to g.n - 1 do
-      let l = g.labels.(base + p) in
-      if l > 0 then f q p l
+    for i = 0 to g.w - 1 do
+      let bits = ref g.support.((q * g.w) + i) in
+      let base = i * wb in
+      while !bits <> 0 do
+        let p = base + Bitset.lowest_bit !bits in
+        f q p g.labels.((q * g.n) + p);
+        bits := !bits land (!bits - 1)
+      done
     done
   done
 
 let edge_count g =
-  let c = ref 0 in
-  iter_edges g (fun _ _ _ -> incr c);
-  !c
+  Array.fold_left (fun acc w -> acc + Bitset.popcount w) 0 g.support
 
 let edges g =
   let acc = ref [] in
@@ -101,64 +176,114 @@ let check_same a b =
 
 let union_nodes_into ~into src =
   check_same into src;
+  own into;
   Bitset.union_into ~into:into.nodes src.nodes
 
-let merge_max_into ~into src =
+(* Per set bit of [src]'s support: take the label when it is above the
+   threshold and above [into]'s.  The threshold fuses Line 24's purge
+   into the merge — a stale label is never copied in. *)
+let merge_max_into ?(above = 0) ~into src =
   check_same into src;
+  own into;
   Bitset.union_into ~into:into.nodes src.nodes;
-  for i = 0 to Array.length src.labels - 1 do
-    if src.labels.(i) > into.labels.(i) then into.labels.(i) <- src.labels.(i)
+  let n = src.n and w = src.w in
+  let sl = src.labels and ss = src.support in
+  let il = into.labels and is = into.support in
+  for q = 0 to n - 1 do
+    for i = 0 to w - 1 do
+      let bits = ref ss.((q * w) + i) in
+      if !bits <> 0 then begin
+        let lbase = (q * n) + (i * wb) in
+        let acc = ref is.((q * w) + i) in
+        while !bits <> 0 do
+          let j = lbase + Bitset.lowest_bit !bits in
+          let l = sl.(j) in
+          if l > above && l > il.(j) then begin
+            il.(j) <- l;
+            acc := !acc lor (!bits land - !bits)
+          end;
+          bits := !bits land (!bits - 1)
+        done;
+        is.((q * w) + i) <- !acc
+      end
+    done
   done
 
 let purge g ~upto =
-  for i = 0 to Array.length g.labels - 1 do
-    if g.labels.(i) > 0 && g.labels.(i) <= upto then g.labels.(i) <- 0
+  own g;
+  for q = 0 to g.n - 1 do
+    for i = 0 to g.w - 1 do
+      let s = (q * g.w) + i in
+      let bits = ref g.support.(s) in
+      let lbase = (q * g.n) + (i * wb) in
+      while !bits <> 0 do
+        let j = lbase + Bitset.lowest_bit !bits in
+        if g.labels.(j) <= upto then begin
+          g.labels.(j) <- 0;
+          g.support.(s) <- g.support.(s) land lnot (!bits land - !bits)
+        end;
+        bits := !bits land (!bits - 1)
+      done
+    done
   done
 
-(* Backward BFS from [self] along labelled edges: a node survives iff it
-   can reach [self].  Frontier expansion scans the label matrix rows of
-   candidate predecessors — O(n²) per call, dominated elsewhere. *)
+(* Backward closure from [self] over the support words: a node joins the
+   kept set once one of its out-edges enters it; passes repeat until one
+   adds nothing.  Then every dropped node loses its row, and every kept
+   row loses its bits outside the kept set. *)
 let prune_unreachable g ~self =
   check_node g self;
-  let keep = Bitset.create g.n in
-  Bitset.add keep self;
-  let frontier = ref [ self ] in
-  while !frontier <> [] do
-    let current = !frontier in
-    frontier := [];
-    List.iter
-      (fun p ->
-        for q = 0 to g.n - 1 do
-          if
-            (not (Bitset.mem keep q))
-            && Bitset.mem g.nodes q
-            && g.labels.((q * g.n) + p) > 0
-          then begin
-            Bitset.add keep q;
-            frontier := q :: !frontier
-          end
-        done)
-      current
+  own g;
+  let n = g.n and w = g.w in
+  let keep = Array.make w 0 in
+  let kept v = keep.(v / wb) land (1 lsl (v mod wb)) <> 0 in
+  keep.(self / wb) <- 1 lsl (self mod wb);
+  let meets q =
+    let rec go i = i < w && (g.support.((q * w) + i) land keep.(i) <> 0 || go (i + 1)) in
+    go 0
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for q = 0 to n - 1 do
+      if (not (kept q)) && meets q then begin
+        keep.(q / wb) <- keep.(q / wb) lor (1 lsl (q mod wb));
+        changed := true
+      end
+    done
   done;
-  (* Drop nodes not kept, and all their incident edges. *)
-  Bitset.iter
-    (fun v ->
-      if not (Bitset.mem keep v) then begin
-        for p = 0 to g.n - 1 do
-          g.labels.((v * g.n) + p) <- 0;
-          g.labels.((p * g.n) + v) <- 0
-        done
-      end)
-    g.nodes;
-  Bitset.inter_into ~into:g.nodes keep
+  for q = 0 to n - 1 do
+    if not (kept q) then begin
+      clear_row g q;
+      Bitset.remove g.nodes q
+    end
+    else
+      for i = 0 to w - 1 do
+        let s = (q * w) + i in
+        let dead = ref (g.support.(s) land lnot keep.(i)) in
+        if !dead <> 0 then begin
+          g.support.(s) <- g.support.(s) land keep.(i);
+          let lbase = (q * n) + (i * wb) in
+          while !dead <> 0 do
+            g.labels.(lbase + Bitset.lowest_bit !dead) <- 0;
+            dead := !dead land (!dead - 1)
+          done
+        end
+      done
+  done
 
 let swap a b =
   check_same a b;
   let nodes = a.nodes and labels = a.labels in
+  let support = a.support and shared = a.shared in
   a.nodes <- b.nodes;
   a.labels <- b.labels;
+  a.support <- b.support;
+  a.shared <- b.shared;
   b.nodes <- nodes;
-  b.labels <- labels
+  b.labels <- labels;
+  b.support <- support;
+  b.shared <- shared
 
 let to_digraph g =
   let d = Digraph.create g.n in

@@ -108,3 +108,20 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
+
+(** {2 Word level}
+
+    For packed structures that lay their own rows out in the same
+    [word_bits]-bit words (element [i] is bit [i mod word_bits] of word
+    [i / word_bits]), such as the support rows of [Ssg_graph.Lgraph]. *)
+
+(** Bits used per word: [Sys.int_size]. *)
+val word_bits : int
+
+(** [popcount w] is the number of set bits of [w]. *)
+val popcount : int -> int
+
+(** [lowest_bit w] is the index of the lowest set bit of [w].  [w] must
+    be nonzero.  Branch-free: isolates the bit ([w land -w]) and looks
+    its position up in a 67-entry perfect-hash table. *)
+val lowest_bit : int -> int

@@ -269,6 +269,75 @@ let test_purge_disabled_violates_obs1 () =
            states));
   check "stale labels appear" true !stale_found
 
+(* Differential test of [Approx.step] against an in-test reference of
+   Lines 9 and 14–25 on the dense model ([Lgraph_ref]), in the paper's
+   unfused order: PT update, fold the timely senders' graphs by per-edge
+   max, set the fresh edges, purge, prune.  Every random run is checked
+   under all four purge/prune switch settings, every process and round
+   compared with [Lgraph.equal].  Messages taken in round r must still
+   equal their round-r snapshot after the sender steps rounds r+1 and
+   r+2: a late-delivery synchronizer buffers them that long. *)
+let reference_step ~enable_purge ~enable_prune ~n ~round ~self pt g ~heard
+    ~msgs =
+  for p = 0 to n - 1 do
+    if not (heard p) then pt.(p) <- false
+  done;
+  Lgraph_ref.reset g ~self;
+  Array.iteri (fun p timely -> if timely then Lgraph_ref.merge_max_into ~into:g msgs.(p)) pt;
+  Array.iteri (fun p timely -> if timely then Lgraph_ref.set_edge g p self ~label:round) pt;
+  if enable_purge then Lgraph_ref.purge g ~upto:(round - n);
+  if enable_prune then Lgraph_ref.prune_unreachable g ~self
+
+let matches_reference (seed, n, density, noise) =
+  let adv =
+    Build.arbitrary (Rng.of_int seed) ~n ~density ~prefix_len:(n / 2) ~noise ()
+  in
+  List.for_all
+    (fun (enable_purge, enable_prune) ->
+      let states =
+        Array.init n (fun self -> Approx.create ~enable_purge ~enable_prune ~n ~self ())
+      in
+      let pts = Array.init n (fun _ -> Array.make n true) in
+      let model = Array.init n (fun self -> Lgraph_ref.create n ~self) in
+      (* messages of the last three rounds, with their dense snapshots *)
+      let sent = ref [] in
+      let ok = ref true in
+      for round = 1 to 3 * n do
+        let graph = Adversary.graph adv round in
+        let msgs = Array.map Approx.message states in
+        let snaps = Array.map Lgraph_ref.copy model in
+        Array.iteri
+          (fun q s ->
+            let heard p = Digraph.mem_edge graph p q in
+            Approx.step s ~round ~received:(fun p -> if heard p then Some msgs.(p) else None);
+            reference_step ~enable_purge ~enable_prune ~n ~round ~self:q pts.(q)
+              model.(q) ~heard ~msgs:snaps;
+            if
+              not
+                (Lgraph.equal (Approx.graph_view s) (Lgraph_ref.to_lgraph model.(q) ~self:q)
+                && Array.for_all2 ( = ) pts.(q)
+                     (Array.init n (fun p -> Approx.pt_mem s p)))
+            then ok := false)
+          states;
+        sent := (msgs, snaps) :: List.filteri (fun i _ -> i < 2) !sent;
+        List.iter
+          (fun (msgs, snaps) ->
+            if not (Array.for_all2 Lgraph_ref.agrees msgs snaps) then ok := false)
+          !sent
+      done;
+      !ok)
+    [ (true, true); (true, false); (false, true); (false, false) ]
+
+let reference_props =
+  [
+    QCheck2.Test.make ~count:40 ~name:"step matches the Lines 9, 14-25 reference"
+      ~print:(fun (seed, n, d, z) -> Printf.sprintf "seed %d n %d density %.2f noise %.2f" seed n d z)
+      QCheck2.Gen.(
+        quad (int_bound 1_000_000) (int_range 2 10) (float_range 0.1 0.9)
+          (float_range 0. 0.8))
+      matches_reference;
+  ]
+
 let tests =
   [
     Alcotest.test_case "Observation 1" `Quick test_observation1;
@@ -288,3 +357,4 @@ let tests =
     Alcotest.test_case "ablated variants never invent edges" `Quick
       test_combined_ablations_still_sound_edges;
   ]
+  @ List.map QCheck_alcotest.to_alcotest reference_props

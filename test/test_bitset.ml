@@ -164,9 +164,46 @@ let props =
           (Bitset.inter (Bitset.diff u a) (Bitset.diff u b)));
   ]
 
+(* Word-level kernels against the obvious shift loops, on words with a
+   random bit density (so runs of zeros of every length occur) plus the
+   sign bit, which [lsr] must treat as an ordinary bit. *)
+let naive_lowest_bit w =
+  let rec go i w = if w land 1 = 1 then i else go (i + 1) (w lsr 1) in
+  go 0 w
+
+let naive_popcount w =
+  let rec go acc w = if w = 0 then acc else go (acc + (w land 1)) (w lsr 1) in
+  go 0 w
+
+let gen_word =
+  QCheck2.Gen.(
+    let* bits = list_size (int_range 0 8) (int_bound (Bitset.word_bits - 1)) in
+    let* sign = bool in
+    let w = List.fold_left (fun w b -> w lor (1 lsl b)) 0 bits in
+    return (if sign then w lor min_int else w))
+
+let word_props =
+  [
+    QCheck2.Test.make ~count:1000 ~name:"lowest_bit matches the shift loop"
+      gen_word (fun w -> w = 0 || Bitset.lowest_bit w = naive_lowest_bit w);
+    QCheck2.Test.make ~count:1000 ~name:"popcount matches the shift loop"
+      gen_word (fun w -> Bitset.popcount w = naive_popcount w);
+    QCheck2.Test.make ~count:1000 ~name:"popcount of a dense word"
+      QCheck2.Gen.int (fun w -> Bitset.popcount w = naive_popcount w);
+  ]
+
+let test_word_extremes () =
+  for b = 0 to Bitset.word_bits - 1 do
+    check_int "single bit" b (Bitset.lowest_bit (1 lsl b));
+    check_int "bit and all above" b (Bitset.lowest_bit (-1 lsl b));
+    check_int "popcount of bits >= b" (Bitset.word_bits - b) (Bitset.popcount (-1 lsl b))
+  done;
+  check_int "popcount 0" 0 (Bitset.popcount 0)
+
 let tests =
   [
     Alcotest.test_case "empty" `Quick test_empty;
+    Alcotest.test_case "word kernels at every position" `Quick test_word_extremes;
     Alcotest.test_case "add/remove" `Quick test_add_remove;
     Alcotest.test_case "full/clear/fill" `Quick test_full;
     Alcotest.test_case "word boundaries" `Quick test_full_word_boundary;
@@ -181,4 +218,4 @@ let tests =
     Alcotest.test_case "blit" `Quick test_blit;
     Alcotest.test_case "pretty printing" `Quick test_pp;
   ]
-  @ List.map QCheck_alcotest.to_alcotest props
+  @ List.map QCheck_alcotest.to_alcotest (props @ word_props)

@@ -142,6 +142,122 @@ let test_job_normalizes_default_inputs () =
   check "real input assignment keys differently" false
     (Job.key shuffled = Job.key default)
 
+(* Cache keys are compact binary, and exact: over random runs, two jobs
+   with the same header get equal keys iff their canonical run texts are
+   equal.  The pairs are built to collide often — a re-parse of the same
+   text, one edge toggled in one graph, the stable graph repeated as one
+   more prefix round (same graphs, different text), an independent run. *)
+
+let random_adv rng ~n =
+  Build.arbitrary rng ~n ~density:0.3 ~prefix_len:(Rng.int rng 3) ~noise:0.4 ()
+
+let graphs adv =
+  List.init (Adversary.prefix_length adv + 1) (fun r -> Ssg_graph.Digraph.copy (Adversary.graph adv (r + 1)))
+
+let of_graphs = function
+  | [] -> assert false
+  | gs ->
+      let rev = List.rev gs in
+      Adversary.make ~name:"variant" ~prefix:(Array.of_list (List.rev (List.tl rev)))
+        ~stable:(List.hd rev)
+
+let variant rng adv =
+  let n = Adversary.n adv in
+  match Rng.int rng 4 with
+  | 0 -> adv
+  | 1 ->
+      let gs = graphs adv in
+      let g = List.nth gs (Rng.int rng (List.length gs)) in
+      let q = Rng.int rng n in
+      let p = (q + 1 + Rng.int rng (n - 1)) mod n in
+      if Ssg_graph.Digraph.mem_edge g q p then Ssg_graph.Digraph.remove_edge g q p
+      else Ssg_graph.Digraph.add_edge g q p;
+      of_graphs gs
+  | 2 ->
+      let gs = graphs adv in
+      of_graphs (gs @ [ List.nth gs (List.length gs - 1) ])
+  | _ -> random_adv rng ~n
+
+let prop_key_exact =
+  QCheck2.Test.make ~count:200 ~name:"job keys equal iff canonical texts equal"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 2 40))
+    (fun (seed, n) ->
+      let rng = Rng.of_int seed in
+      let a = Job.make ~k:2 (random_adv rng ~n) in
+      let b = Job.make ~k:2 (variant rng (Run_format.of_string a.Job.run)) in
+      String.equal (Job.key a) (Job.key b) = String.equal a.Job.run b.Job.run)
+
+(* Shuffled edge tokens, comments, a redundant self-loop token. *)
+let scramble rng text =
+  let shuffle xs =
+    let a = Array.of_list xs in
+    for i = Array.length a - 1 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  String.split_on_char '\n' text
+  |> List.map (fun line ->
+         match String.index_opt line ':' with
+         | Some c when not (String.length line > 0 && line.[0] = '#') ->
+             let head = String.sub line 0 (c + 1) in
+             let tokens =
+               String.split_on_char ' ' (String.sub line (c + 1) (String.length line - c - 1))
+               |> List.filter (( <> ) "")
+             in
+             Printf.sprintf "%s %s 0>0  # scrambled" head (String.concat "  " (shuffle tokens))
+         | _ -> line)
+  |> String.concat "\n# a comment line\n"
+
+let prop_key_stable_under_scrambling =
+  QCheck2.Test.make ~count:100 ~name:"job keys ignore edge order and comments"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 2 40))
+    (fun (seed, n) ->
+      let rng = Rng.of_int seed in
+      let a = Job.make ~k:3 (random_adv rng ~n) in
+      let b = Job.of_run_text ~k:3 (scramble rng a.Job.run) in
+      String.equal (Job.key a) (Job.key b))
+
+let test_job_key_header_fields () =
+  let adv = sample_adv () in
+  let base = Job.make ~k:2 adv in
+  List.iter
+    (fun (what, job) -> check what false (String.equal (Job.key base) (Job.key job)))
+    [
+      ("k", Job.make ~k:3 adv);
+      ("algorithm", Job.make ~k:2 ~algorithm:Job.Floodmin adv);
+      ("inputs", Job.make ~k:2 ~inputs:[| 1; 0; 2; 3; 4; 5 |] adv);
+      ("rounds", Job.make ~k:2 ~rounds:9 adv);
+      ("monitor", Job.make ~k:2 ~monitor:true adv);
+    ]
+
+(* A key over two-word rows (n > 63) crosses the store's record framing
+   and the wire's frames byte for byte. *)
+let test_job_key_wide_roundtrips () =
+  let job = Job.make ~k:4 (random_adv (Rng.of_int 5) ~n:70) in
+  let key = Job.key job in
+  check "compact: shorter than the run text" true (String.length key < String.length job.Job.run);
+  let value = "an encoded outcome" in
+  check "store record" true
+    (Ssg_store.Record.unframe (Ssg_store.Record.frame ~key ~value) = (key, value));
+  let via_id bytes =
+    match Ssg_net.Frame.classify (Ssg_net.Frame.with_id ~id:7 bytes) with
+    | Ssg_net.Frame.Id (7, inner) -> inner
+    | _ -> Alcotest.fail "id envelope lost"
+  in
+  (match Protocol.request_of_bytes (via_id (Protocol.request_to_bytes (Protocol.Transfer [ (key, value) ]))) with
+  | Protocol.Transfer [ (k, v) ] -> check "transfer entry" true (String.equal k key && String.equal v value)
+  | _ -> Alcotest.fail "transfer did not round-trip");
+  (match Protocol.reply_of_bytes (Protocol.reply_to_bytes (Protocol.Entries [ (key, value) ])) with
+  | Protocol.Entries [ (k, _) ] -> check "export entry" true (String.equal k key)
+  | _ -> Alcotest.fail "entries did not round-trip");
+  match Protocol.request_of_bytes (via_id (Protocol.request_to_bytes (Protocol.Submit job))) with
+  | Protocol.Submit decoded -> check "submitted job keys alike" true (String.equal (Job.key decoded) key)
+  | _ -> Alcotest.fail "submit did not round-trip"
+
 let test_job_execute_matches_runner () =
   let adv = sample_adv () in
   let outcome = Job.execute (Job.make ~monitor:true adv) in
@@ -587,6 +703,10 @@ let tests =
       test_job_canonical_permuted_text;
     Alcotest.test_case "job canonicalization (default inputs)" `Quick
       test_job_normalizes_default_inputs;
+    Alcotest.test_case "job key separates header fields" `Quick
+      test_job_key_header_fields;
+    Alcotest.test_case "job key (n > 63) crosses store and wire" `Quick
+      test_job_key_wide_roundtrips;
     Alcotest.test_case "job execute = in-process runner" `Quick
       test_job_execute_matches_runner;
     Alcotest.test_case "protocol framing over a pipe" `Quick
@@ -609,4 +729,6 @@ let tests =
         prop_reply_decode_fuzz;
         prop_read_frame_fuzz;
         prop_lru_model;
+        prop_key_exact;
+        prop_key_stable_under_scrambling;
       ]

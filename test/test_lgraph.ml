@@ -195,6 +195,122 @@ let props =
              (Bitset.diff (Bitset.full 6) expect));
   ]
 
+(* Differential test of the kernels against the dense reference
+   ([Lgraph_ref]).  Three graph slots over one universe n ∈ 1..70 (so
+   support rows span two 63-bit words), a random program of operations
+   applied to both sides, and after every operation each slot must agree
+   with its reference: nodes, every label, and the edges enumerated from
+   the support rows.  [Copy] aliases buffers copy-on-write, so later
+   mutations of either slot also check that copies stay independent. *)
+
+type op =
+  | Fill of int * (int * int * int) list
+  | Remove of int * int * int
+  | Merge of int * int * int option
+  | Purge of int * int
+  | Prune of int * int
+  | Reset of int * int
+  | Swap of int * int
+  | Copy of int * int
+  | Same of int * int
+
+let gen_program =
+  QCheck2.Gen.(
+    let* n = oneof [ int_range 1 8; int_range 1 70; int_range 60 70 ] in
+    let node = int_bound (n - 1) and slot = int_bound 2 in
+    let edge = triple node node (int_range 1 12) in
+    let op =
+      frequency
+        [
+          (4, map2 (fun s es -> Fill (s, es)) slot (list_size (int_bound (2 * n)) edge));
+          (1, map3 (fun s q p -> Remove (s, q, p)) slot node node);
+          (4, map3 (fun a b t -> Merge (a, b, t)) slot slot (opt (int_range (-3) 12)));
+          (2, map2 (fun s u -> Purge (s, u)) slot (int_range 0 12));
+          (2, map2 (fun s v -> Prune (s, v)) slot node);
+          (1, map2 (fun s v -> Reset (s, v)) slot node);
+          (1, map2 (fun a b -> Swap (a, b)) slot slot);
+          (2, map2 (fun a b -> Copy (a, b)) slot slot);
+          (2, map2 (fun a b -> Same (a, b)) slot slot);
+        ]
+    in
+    pair (return n) (list_size (int_range 1 25) op))
+
+let run_program (n, ops) =
+  let real = Array.init 3 (fun s -> Lgraph.create n ~self:(s mod n)) in
+  let model = Array.init 3 (fun s -> Lgraph_ref.create n ~self:(s mod n)) in
+  let agree () =
+    Array.for_all2 (fun l g -> Lgraph_ref.agrees l g) real model
+  in
+  List.for_all
+    (fun op ->
+      let same_ok =
+        match op with
+        | Fill (s, es) ->
+            List.iter
+              (fun (q, p, label) ->
+                Lgraph.set_edge real.(s) q p ~label;
+                Lgraph_ref.set_edge model.(s) q p ~label)
+              es;
+            true
+        | Remove (s, q, p) ->
+            Lgraph.remove_edge real.(s) q p;
+            Lgraph_ref.remove_edge model.(s) q p;
+            true
+        | Merge (a, b, above) ->
+            Lgraph.merge_max_into ?above ~into:real.(a) real.(b);
+            Lgraph_ref.merge_max_into ?above ~into:model.(a) (Lgraph_ref.copy model.(b));
+            true
+        | Purge (s, upto) ->
+            Lgraph.purge real.(s) ~upto;
+            Lgraph_ref.purge model.(s) ~upto;
+            true
+        | Prune (s, self) ->
+            Lgraph.prune_unreachable real.(s) ~self;
+            Lgraph_ref.prune_unreachable model.(s) ~self;
+            true
+        | Reset (s, self) ->
+            Lgraph.reset real.(s) ~self;
+            Lgraph_ref.reset model.(s) ~self;
+            true
+        | Swap (a, b) ->
+            Lgraph.swap real.(a) real.(b);
+            let m = model.(a) in
+            model.(a) <- model.(b);
+            model.(b) <- m;
+            true
+        | Copy (a, b) ->
+            real.(a) <- Lgraph.copy real.(b);
+            model.(a) <- Lgraph_ref.copy model.(b);
+            true
+        | Same (a, b) ->
+            Lgraph.same_support real.(a) real.(b)
+            = Lgraph_ref.same_support model.(a) model.(b)
+      in
+      same_ok && agree ())
+    ops
+
+let print_program (n, ops) =
+  let op = function
+    | Fill (s, es) -> Printf.sprintf "fill %d (%d edges)" s (List.length es)
+    | Remove (s, q, p) -> Printf.sprintf "remove %d %d>%d" s q p
+    | Merge (a, b, t) ->
+        Printf.sprintf "merge %d<-%d above %s" a b
+          (match t with None -> "-" | Some t -> string_of_int t)
+    | Purge (s, u) -> Printf.sprintf "purge %d %d" s u
+    | Prune (s, v) -> Printf.sprintf "prune %d self %d" s v
+    | Reset (s, v) -> Printf.sprintf "reset %d self %d" s v
+    | Swap (a, b) -> Printf.sprintf "swap %d %d" a b
+    | Copy (a, b) -> Printf.sprintf "copy %d<-%d" a b
+    | Same (a, b) -> Printf.sprintf "same_support %d %d" a b
+  in
+  Printf.sprintf "n=%d: %s" n (String.concat "; " (List.map op ops))
+
+let kernel_props =
+  [
+    QCheck2.Test.make ~count:200 ~print:print_program
+      ~name:"kernels match the dense reference" gen_program run_program;
+  ]
+
 let tests =
   [
     Alcotest.test_case "create" `Quick test_create;
@@ -213,4 +329,4 @@ let tests =
     Alcotest.test_case "swap" `Quick test_swap;
     Alcotest.test_case "copy/equal" `Quick test_copy_equal;
   ]
-  @ List.map QCheck_alcotest.to_alcotest props
+  @ List.map QCheck_alcotest.to_alcotest (props @ kernel_props)

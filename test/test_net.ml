@@ -497,10 +497,24 @@ let test_pclient_correlation_under_load () =
   Pclient.close pc;
   stop_server socket thread
 
+(* Two 12-cliques: every process hears 11 peers with dense graphs, so
+   an Algorithm 1 run here takes milliseconds, not microseconds. *)
+let two_cliques =
+  let edges =
+    List.concat
+      (List.init 24 (fun q ->
+           List.filter_map
+             (fun p -> if p <> q && p / 12 = q / 12 then Some (Printf.sprintf "%d>%d" q p) else None)
+             (List.init 24 Fun.id)))
+  in
+  "ssg-run v1\nn 24\nstable: " ^ String.concat " " edges ^ "\n"
+
 let test_pclient_no_head_of_line_blocking () =
   (* One worker, several slow jobs ahead of one cache hit: on a strict
      in-order connection the hit would wait behind the queue; on the
-     pipelined connection it overtakes. *)
+     pipelined connection it overtakes.  The slow jobs must really be
+     slow — together far longer than a thread switch on the server —
+     or they can all finish before the hit is even read. *)
   let socket, thread = start_server ~workers:1 () in
   let pc = Pclient.connect ~socket ~deadline_s:60. () in
   let warm = good_job () in
@@ -510,7 +524,7 @@ let test_pclient_no_head_of_line_blocking () =
   let slow =
     List.init 8 (fun i ->
         Pclient.submit pc
-          (good_job ~inputs:(Array.init 6 (fun j -> (1000 * (i + 1)) + j)) ~rounds:4000 ()))
+          (Job.of_run_text ~k:2 ~inputs:(Array.init 24 (fun j -> (1000 * (i + 1)) + j)) two_cliques))
   in
   let fast = Pclient.submit pc warm in
   (match Pclient.await fast with
