@@ -8,6 +8,7 @@ type t = {
   enable_prune : bool;
   mutable round : int;
   pt : Bitset.t;
+  scratch : Lgraph.scratch;  (* this process's rebuild buffers *)
   mutable graph : Lgraph.t;
       (* sealed: built fresh each round and never mutated once installed,
          so the handles [message] and [graph_view] hand out stay valid *)
@@ -27,6 +28,7 @@ let create ?(enable_purge = true) ?(enable_prune = true) ~n ~self () =
     enable_prune;
     round = 0;
     pt = Bitset.full n;
+    scratch = Lgraph.scratch n;
     graph = Lgraph.create n ~self;
     sc_cache = None;
   }
@@ -43,36 +45,24 @@ let step t ~round ~received =
          round);
   t.round <- round;
   (* Line 9: PT_p <- PT_p ∩ {q | heard q this round}. *)
-  let heard = Bitset.create t.order in
-  let inboxes = Array.make t.order None in
   for q = 0 to t.order - 1 do
     match received q with
     | Some g ->
         if Lgraph.capacity g <> t.order then
-          invalid_arg "Approx.step: received graph capacity mismatch";
-        Bitset.add heard q;
-        inboxes.(q) <- Some g
-    | None -> ()
+          invalid_arg "Approx.step: received graph capacity mismatch"
+    | None -> Bitset.remove t.pt q
   done;
-  Bitset.inter_into ~into:t.pt heard;
-  (* Lines 15–24: rebuild G_p in a fresh graph — the previous one may be
-     out as a message.  We fold the received graphs of timely senders
-     with per-edge max (Lines 19–23), dropping labels <= round - n on the
-     way in (Line 24, fused: a purged label is never copied), then
-     overwrite the fresh timely edges (q --round--> p) (Line 17) —
-     [round] exceeds every label in any received graph, so overwriting
-     preserves the max semantics, and it is never stale. *)
-  let g = Lgraph.create t.order ~self:t.owner in
-  let above = if t.enable_purge then round - t.order else 0 in
-  Bitset.iter
-    (fun q ->
-      match inboxes.(q) with
-      | Some m -> Lgraph.merge_max_into ~above ~into:g m
-      | None -> ())
-    t.pt;
-  Bitset.iter (fun q -> Lgraph.set_edge g q t.owner ~label:round) t.pt;
-  (* Line 25: drop nodes that cannot reach p. *)
-  if t.enable_prune then Lgraph.prune_unreachable g ~self:t.owner;
+  (* Lines 15–25: rebuild G_p into a fresh graph — the previous one may
+     be out as a message.  The kernel folds the timely senders' graphs
+     by per-edge max (Lines 19–23), dropping labels <= round - n on the
+     way in (Line 24, fused: a purged label is never copied), sets the
+     fresh timely edges (q --round--> p) (Line 17) and drops the nodes
+     that cannot reach p (Line 25). *)
+  let g =
+    Lgraph.rebuild t.scratch ~self:t.owner ~round
+      ~above:(if t.enable_purge then round - t.order else 0)
+      ~prune:t.enable_prune ~timely:t.pt received
+  in
   (* Strong connectivity only reads the support (nodes + edge presence),
      which the rebuild usually reproduces exactly once the run settles —
      only the labels keep rotating.  Keep the memoized certificate alive

@@ -44,7 +44,13 @@ val rounds_done : t -> int
     returned graph detaches it from [t] and leaves [t] unaffected. *)
 val message : t -> Lgraph.t
 
-(** [step t ~round ~received] performs the round-[round] update.
+(** [step t ~round ~received] performs the round-[round] update: the
+    PT update of Line 9, then Lines 15–25 as one {!Lgraph.rebuild} into
+    [t]'s own scratch, which allocates the new [G_p] once, at its exact
+    size, and nothing of size n² — a settled step allocates a few
+    hundred words.  [received] is called once per process for the PT
+    update and once more per timely sender for the rebuild; no received
+    graph is kept afterwards.
     [received q] must be [Some g] exactly when a round-[round] message
     carrying graph [g] arrived from [q] (in particular [received self]
     must be the graph [t] broadcast — a process always hears itself in

@@ -13,6 +13,7 @@ type t = {
   rounds : int option;
   monitor : bool;
   key : string;
+  adv : Adversary.t;
 }
 
 let algorithm_name = function
@@ -80,7 +81,7 @@ let build ~run ~adv ?(algorithm = Kset) ?(k = 1) ?inputs ?rounds
   in
   let monitor = monitor && algorithm = Kset in
   let key = key_of ~algorithm ~k ~inputs ~rounds ~monitor adv in
-  { run; algorithm; k; inputs; rounds; monitor; key }
+  { run; algorithm; k; inputs; rounds; monitor; key; adv }
 
 let make ?algorithm ?k ?inputs ?rounds ?monitor adv =
   (* to_string raises Invalid_argument on recurrent runs; round-tripping
@@ -130,7 +131,7 @@ let outcome_of_report (r : Runner.report) =
   }
 
 let execute job =
-  let adv = Run_format.of_string job.run in
+  let adv = job.adv in
   let n = Adversary.n adv in
   (match job.inputs with
   | Some xs when Array.length xs <> n ->

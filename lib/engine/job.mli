@@ -26,6 +26,9 @@ type t = private {
   rounds : int option;  (** [None] = the run's decision horizon *)
   monitor : bool;  (** lemma monitors (Algorithm 1 only) *)
   key : string;  (** the cache key, computed once by the constructors; see {!key} *)
+  adv : Ssg_adversary.Adversary.t;
+      (** [run], parsed once by the constructors; what {!execute} runs.
+          Not part of the key or the wire form: it is [run]'s meaning. *)
 }
 
 (** [make adv] builds a job from an in-memory run description.

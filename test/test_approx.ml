@@ -338,6 +338,64 @@ let reference_props =
       matches_reference;
   ]
 
+(* Words allocated by [f ()], minor and major.  A minor collection on
+   both sides syncs the counters: without it, OCaml 5's [Gc.counters]
+   and [Gc.allocated_bytes] see the minor heap only as of the last
+   collection. *)
+let allocated_words f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* Allocation regression: once a sparse run has settled, a round's
+   rebuild allocates the graph it keeps (packed labels, support rows and
+   offsets, node set) and little else — not an n×n matrix.  At n = 64 on
+   a ring after one complete prefix round, a settled G_p has 128 edges
+   (64 of them self-loops); the bound n²/4 = 1024 words per
+   process-round is four times below a dense matrix, and the step
+   needs about 380.  The messages and the [received]
+   closures are made before the measured round, so it counts
+   [Approx.step] only; the count is deterministic for this run. *)
+let test_step_allocation () =
+  let n = 64 in
+  let adv =
+    Adversary.make ~name:"ring"
+      ~prefix:[| Digraph.complete ~self_loops:true n |]
+      ~stable:(Gen.cycle_on n (Array.init n Fun.id))
+  in
+  let states = Array.init n (fun self -> Approx.create ~n ~self ()) in
+  let round r =
+    let graph = Adversary.graph adv r in
+    let msgs = Array.map (fun s -> Some (Approx.message s)) states in
+    let received =
+      Array.init n (fun q ->
+          let inbox =
+            Array.init n (fun p ->
+                if Digraph.mem_edge graph p q then msgs.(p) else None)
+          in
+          fun p -> inbox.(p))
+    in
+    allocated_words (fun () ->
+        Array.iteri
+          (fun q s -> Approx.step s ~round:r ~received:received.(q))
+          states)
+  in
+  (* 2n rounds settle the ring; one more warms up; the next is measured *)
+  for r = 1 to (2 * n) + 1 do
+    ignore (round r)
+  done;
+  let words = round ((2 * n) + 2) /. float_of_int n in
+  check_int "settled G_p is the ring" (2 * n)
+    (Lgraph.edge_count (Approx.graph_view states.(0)));
+  check
+    (Printf.sprintf "%.0f words per process-round < n²/4 = %d" words
+       (n * n / 4))
+    true
+    (words < float_of_int (n * n / 4))
+
 let tests =
   [
     Alcotest.test_case "Observation 1" `Quick test_observation1;
@@ -356,5 +414,7 @@ let tests =
       test_purge_disabled_violates_obs1;
     Alcotest.test_case "ablated variants never invent edges" `Quick
       test_combined_ablations_still_sound_edges;
+    Alcotest.test_case "settled step allocates < n²/4 words" `Quick
+      test_step_allocation;
   ]
   @ List.map QCheck_alcotest.to_alcotest reference_props

@@ -146,7 +146,10 @@ let test_copy_equal () =
   let h = Lgraph.copy g in
   check "equal" true (Lgraph.equal g h);
   Lgraph.set_edge h 2 0 ~label:1;
-  check "independent" false (Lgraph.equal g h)
+  check "independent" false (Lgraph.equal g h);
+  let r = Lgraph.copy g in
+  Lgraph.set_edge r 1 0 ~label:3;
+  check "labels compared" false (Lgraph.equal g r)
 
 (* Property: merge_max_into is commutative and idempotent on label level. *)
 
@@ -201,7 +204,17 @@ let props =
    applied to both sides, and after every operation each slot must agree
    with its reference: nodes, every label, and the edges enumerated from
    the support rows.  [Copy] aliases buffers copy-on-write, so later
-   mutations of either slot also check that copies stay independent. *)
+   mutations of either slot also check that copies stay independent.
+
+   [Rebuild] runs the fused per-round kernel into a slot, with one
+   scratch reused by the whole program: its timely senders map to slots
+   (or to no received graph), and the reference is the unfused dense
+   sequence — fresh graph, merge_max_into ~above per received graph,
+   set_edge of the fresh edges, prune_unreachable.  The same sequence
+   run with the packed mutators must give an [Lgraph.equal] graph.  The
+   round is one more than every label present (plus a random margin),
+   as in Algorithm 1; [above] is 0, a fixed value, or just below the
+   round, so that almost every label is stale. *)
 
 type op =
   | Fill of int * (int * int * int) list
@@ -213,6 +226,39 @@ type op =
   | Swap of int * int
   | Copy of int * int
   | Same of int * int
+  | Rebuild of rebuild
+
+and rebuild = {
+  dst : int;
+  owner : int;
+  margin : int;  (* the round is the largest label present plus 1 + margin *)
+  above : [ `Zero | `Fixed of int | `Below_round of int ];
+  prune : bool;
+  timely : (int * int option) list;  (* sender, and the slot it sent *)
+}
+
+let gen_rebuild n node slot =
+  QCheck2.Gen.(
+    let* dst = slot and* owner = node and* margin = int_bound 3 in
+    let* above =
+      oneof
+        [
+          return `Zero;
+          map (fun a -> `Fixed a) (int_range (-3) 12);
+          map (fun d -> `Below_round d) (int_range 1 4);
+        ]
+    and* prune = bool in
+    let sender = pair node (opt ~ratio:0.8 slot) in
+    let+ timely =
+      frequency
+        [
+          (1, return []);
+          (1, map (fun s -> [ (owner, s) ]) (opt slot));
+          (4, list_size (int_bound (min n 12)) sender);
+        ]
+    in
+    let timely = List.sort_uniq (fun (a, _) (b, _) -> compare a b) timely in
+    { dst; owner; margin; above; prune; timely })
 
 let gen_program =
   QCheck2.Gen.(
@@ -231,13 +277,59 @@ let gen_program =
           (1, map2 (fun a b -> Swap (a, b)) slot slot);
           (2, map2 (fun a b -> Copy (a, b)) slot slot);
           (2, map2 (fun a b -> Same (a, b)) slot slot);
+          (4, map (fun r -> Rebuild r) (gen_rebuild n node slot));
         ]
     in
     pair (return n) (list_size (int_range 1 25) op))
 
+(* [rebuild] on both sides; true iff the fused kernel equals the same
+   sequence run with the packed mutators. *)
+let run_rebuild n scratch real model r =
+  let round =
+    1 + r.margin
+    + Array.fold_left
+        (fun acc l -> max acc (Option.value (Lgraph.max_label l) ~default:0))
+        0 real
+  in
+  let above =
+    match r.above with `Zero -> 0 | `Fixed a -> a | `Below_round d -> round - d
+  in
+  let timely = Bitset.of_list n (List.map fst r.timely) in
+  let sent q = Option.join (List.assoc_opt q r.timely) in
+  let received q = Option.map (fun s -> real.(s)) (sent q) in
+  let fused =
+    Lgraph.rebuild scratch ~self:r.owner ~round ~above ~prune:r.prune ~timely
+      received
+  in
+  let unfused = Lgraph.create n ~self:r.owner in
+  let m = Lgraph_ref.create n ~self:r.owner in
+  List.iter
+    (fun (q, _) ->
+      Option.iter
+        (fun g -> Lgraph.merge_max_into ~above ~into:unfused g)
+        (received q);
+      Option.iter
+        (fun s ->
+          Lgraph_ref.merge_max_into ~above ~into:m (Lgraph_ref.copy model.(s)))
+        (sent q))
+    r.timely;
+  List.iter
+    (fun (q, _) ->
+      Lgraph.set_edge unfused q r.owner ~label:round;
+      Lgraph_ref.set_edge m q r.owner ~label:round)
+    r.timely;
+  if r.prune then begin
+    Lgraph.prune_unreachable unfused ~self:r.owner;
+    Lgraph_ref.prune_unreachable m ~self:r.owner
+  end;
+  real.(r.dst) <- fused;
+  model.(r.dst) <- m;
+  Lgraph.equal fused unfused
+
 let run_program (n, ops) =
   let real = Array.init 3 (fun s -> Lgraph.create n ~self:(s mod n)) in
   let model = Array.init 3 (fun s -> Lgraph_ref.create n ~self:(s mod n)) in
+  let scratch = Lgraph.scratch n in
   let agree () =
     Array.for_all2 (fun l g -> Lgraph_ref.agrees l g) real model
   in
@@ -285,6 +377,7 @@ let run_program (n, ops) =
         | Same (a, b) ->
             Lgraph.same_support real.(a) real.(b)
             = Lgraph_ref.same_support model.(a) model.(b)
+        | Rebuild r -> run_rebuild n scratch real model r
       in
       same_ok && agree ())
     ops
@@ -302,12 +395,97 @@ let print_program (n, ops) =
     | Swap (a, b) -> Printf.sprintf "swap %d %d" a b
     | Copy (a, b) -> Printf.sprintf "copy %d<-%d" a b
     | Same (a, b) -> Printf.sprintf "same_support %d %d" a b
+    | Rebuild r ->
+        Printf.sprintf "rebuild %d self %d margin %d above %s%s timely [%s]"
+          r.dst r.owner r.margin
+          (match r.above with
+          | `Zero -> "0"
+          | `Fixed a -> string_of_int a
+          | `Below_round d -> Printf.sprintf "round-%d" d)
+          (if r.prune then " prune" else "")
+          (String.concat " "
+             (List.map
+                (fun (q, s) ->
+                  Printf.sprintf "%d:%s" q
+                    (match s with None -> "-" | Some s -> string_of_int s))
+                r.timely))
   in
   Printf.sprintf "n=%d: %s" n (String.concat "; " (List.map op ops))
 
+(* The scratch keeps no reference to the graphs of a finished rebuild:
+   twenty dense received graphs weigh far more than everything the
+   scratch still reaches afterwards. *)
+let test_rebuild_releases_senders () =
+  let n = 40 in
+  let dense self =
+    let g = Lgraph.create n ~self in
+    for q = 0 to n - 1 do
+      for p = 0 to n - 1 do
+        Lgraph.set_edge g q p ~label:(1 + ((q + p + self) mod 7))
+      done
+    done;
+    g
+  in
+  let senders = Array.init 20 dense in
+  let s = Lgraph.scratch n in
+  let g =
+    Lgraph.rebuild s ~self:0 ~round:8 ~above:0 ~prune:true
+      ~timely:(Bitset.of_list n (List.init 20 Fun.id))
+      (fun q -> Some senders.(q))
+  in
+  check_int "all edges" (n * n) (Lgraph.edge_count g);
+  let sent =
+    Array.fold_left (fun acc g -> acc + Obj.reachable_words (Obj.repr g)) 0 senders
+  in
+  check "scratch reaches no sender" true
+    (Obj.reachable_words (Obj.repr s) < sent / 4);
+  (* a rebuild that raises midway leaves the scratch clean *)
+  check "universe mismatch raises" true
+    (try
+       ignore
+         (Lgraph.rebuild s ~self:0 ~round:9 ~above:0 ~prune:false
+            ~timely:(Bitset.of_list n [ 0; 1 ])
+            (fun q ->
+              Some (if q = 0 then senders.(0) else Lgraph.create 3 ~self:0)));
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check (list (triple int int int)))
+    "next rebuild starts clean" [ (1, 1, 9) ]
+    (Lgraph.edges
+       (Lgraph.rebuild s ~self:1 ~round:9 ~above:0 ~prune:true
+          ~timely:(Bitset.of_list n [ 1 ]) (fun _ -> None)))
+
+(* A [received] callback that mutates a graph it returned earlier in the
+   same rebuild: the rebuild merges that graph as it was returned (the
+   mutation copies it first), and the caller's handle sees the change. *)
+let test_rebuild_reads_senders_as_returned () =
+  let n = 70 in
+  let g0 = Lgraph.create n ~self:0 in
+  Lgraph.set_edge g0 5 0 ~label:2;
+  Lgraph.set_edge g0 69 5 ~label:3;
+  let s = Lgraph.scratch n in
+  let g =
+    Lgraph.rebuild s ~self:0 ~round:4 ~above:0 ~prune:false
+      ~timely:(Bitset.of_list n [ 0; 1 ])
+      (fun q ->
+        if q = 0 then Some g0
+        else begin
+          for p = 0 to n - 1 do
+            Lgraph.set_edge g0 0 p ~label:1
+          done;
+          Lgraph.remove_edge g0 69 5;
+          None
+        end)
+  in
+  Alcotest.(check (list (triple int int int)))
+    "merged as returned"
+    [ (0, 0, 4); (1, 0, 4); (5, 0, 2); (69, 5, 3) ]
+    (Lgraph.edges g);
+  check_int "the caller's graph changed" (n + 1) (Lgraph.edge_count g0)
+
 let kernel_props =
   [
-    QCheck2.Test.make ~count:200 ~print:print_program
+    QCheck2.Test.make ~count:300 ~print:print_program
       ~name:"kernels match the dense reference" gen_program run_program;
   ]
 
@@ -328,5 +506,9 @@ let tests =
     Alcotest.test_case "encoded bits" `Quick test_encoded_bits;
     Alcotest.test_case "swap" `Quick test_swap;
     Alcotest.test_case "copy/equal" `Quick test_copy_equal;
+    Alcotest.test_case "rebuild releases the senders" `Quick
+      test_rebuild_releases_senders;
+    Alcotest.test_case "rebuild reads the senders as returned" `Quick
+      test_rebuild_reads_senders_as_returned;
   ]
   @ List.map QCheck_alcotest.to_alcotest (props @ kernel_props)
