@@ -1,25 +1,42 @@
 open Ssg_graph
 
-let edge_tokens g =
-  Digraph.edges g
-  |> List.filter (fun (a, b) -> a <> b)
-  |> List.map (fun (a, b) -> Printf.sprintf "%d>%d" a b)
-  |> String.concat " "
+(* Decimal digits of a non-negative int. *)
+let rec add_int buf i =
+  if i >= 10 then add_int buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+
+(* A graph line's edge tokens: [a>b] for every edge but the self-loops,
+   in [Digraph.iter_edges] order, separated by single spaces. *)
+let add_edge_tokens buf g =
+  let first = ref true in
+  Digraph.iter_edges g (fun a b ->
+      if a <> b then begin
+        if !first then first := false else Buffer.add_char buf ' ';
+        add_int buf a;
+        Buffer.add_char buf '>';
+        add_int buf b
+      end)
 
 let to_string adv =
   if Adversary.is_recurrent adv then
     invalid_arg "Run_format.to_string: recurrent runs cannot be serialized";
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "ssg-run v1\n";
-  Buffer.add_string buf
-    (Printf.sprintf "# %s\nn %d\n" (Adversary.name adv) (Adversary.n adv));
-  for r = 1 to Adversary.prefix_length adv do
-    Buffer.add_string buf
-      (Printf.sprintf "round %d: %s\n" r (edge_tokens (Adversary.graph adv r)))
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "ssg-run v1\n# ";
+  Buffer.add_string buf (Adversary.name adv);
+  Buffer.add_string buf "\nn ";
+  add_int buf (Adversary.n adv);
+  Buffer.add_char buf '\n';
+  let prefix = Adversary.prefix_length adv in
+  for r = 1 to prefix do
+    Buffer.add_string buf "round ";
+    add_int buf r;
+    Buffer.add_string buf ": ";
+    add_edge_tokens buf (Adversary.graph adv r);
+    Buffer.add_char buf '\n'
   done;
-  Buffer.add_string buf
-    (Printf.sprintf "stable: %s\n"
-       (edge_tokens (Adversary.graph adv (Adversary.prefix_length adv + 1))));
+  Buffer.add_string buf "stable: ";
+  add_edge_tokens buf (Adversary.graph adv (prefix + 1));
+  Buffer.add_char buf '\n';
   Buffer.contents buf
 
 type spans = {

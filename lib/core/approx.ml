@@ -72,6 +72,7 @@ let step t ~round ~received =
 
 let pt t = Bitset.copy t.pt
 let pt_mem t q = Bitset.mem t.pt q
+let iter_pt t f = Bitset.iter f t.pt
 let graph t = Lgraph.copy t.graph
 let graph_view t = t.graph
 let is_strongly_connected t =

@@ -64,6 +64,10 @@ val pt : t -> Bitset.t
 (** [pt_mem t q] avoids the copy. *)
 val pt_mem : t -> int -> bool
 
+(** [iter_pt t f] calls [f q] for every [q] in [PT_p], in increasing
+    order, without copying the set.  [f] must not step [t]. *)
+val iter_pt : t -> (int -> unit) -> unit
+
 (** [graph t] is a copy of the current approximation [G_p]. *)
 val graph : t -> Lgraph.t
 
@@ -76,6 +80,6 @@ val graph_view : t -> Lgraph.t
     across rounds whose rebuild reproduces the same support (node set and
     edge presence): once the run settles, only the labels of [G_p] keep
     rotating, and strong connectivity is label-blind, so the steady-state
-    per-round cost is one allocation-free support comparison instead of a
-    full SCC pass. *)
+    per-round cost is one allocation-free support comparison instead of
+    the two closures of {!Lgraph.is_strongly_connected}. *)
 val is_strongly_connected : t -> bool

@@ -77,22 +77,21 @@ struct
   let transition ~round s inbox =
     (* Lines 9, 14–25: PT update and skeleton approximation. *)
     Approx.step s.approx ~round ~received:(fun q ->
-        Option.map (fun m -> m.graph) inbox.(q));
+        match inbox.(q) with Some m -> Some m.graph | None -> None);
     (match s.dec with
     | Some _ -> ()
     | None -> (
         (* Lines 10–13: adopt a decision received from a timely sender
-           (deterministically the smallest such value). *)
+           (deterministically the smallest such value).  After Line 9,
+           PT_p only holds senders heard this round. *)
         let adopted = ref None in
-        Array.iteri
-          (fun q m ->
-            match m with
-            | Some m when m.decide && Approx.pt_mem s.approx q -> (
+        Approx.iter_pt s.approx (fun q ->
+            match inbox.(q) with
+            | Some m when m.decide -> (
                 match !adopted with
                 | None -> adopted := Some m.x
                 | Some x -> if m.x < x then adopted := Some m.x)
-            | _ -> ())
-          inbox;
+            | _ -> ());
         match !adopted with
         | Some x ->
             s.x <- x;
@@ -103,14 +102,16 @@ struct
             (* Line 27: x_p <- min of the values sent by timely senders
                (the ablated variant drops the timeliness filter). *)
             let mn = ref s.x in
-            Array.iteri
-              (fun q m ->
-                match m with
-                | Some m
-                  when s.estimate_from_all || Approx.pt_mem s.approx q ->
-                    if m.x < !mn then mn := m.x
-                | _ -> ())
-              inbox;
+            let consider q =
+              match inbox.(q) with
+              | Some m -> if m.x < !mn then mn := m.x
+              | None -> ()
+            in
+            if s.estimate_from_all then
+              for q = 0 to Array.length inbox - 1 do
+                consider q
+              done
+            else Approx.iter_pt s.approx consider;
             s.x <- !mn;
             (* Lines 28–30: decide when the approximation is strongly
                connected from round n on.  [confirm_rounds] > 1 is the

@@ -55,7 +55,7 @@ type ticket
     errors; they surface as [Error] completions.
 
     {b Lint front door.}  A fresh submission (no cache hit, no in-flight
-    twin) is first checked by {!Ssg_lint.Lint.gate} against the job's own
+    twin) is first checked by {!gate} against the job's own
     [k]: jobs whose run description cannot parse or can never satisfy
     [Psrcs(k)] are rejected without touching the worker pool.  The
     rejection surfaces as an [Error] completion from [await] (and via
@@ -69,6 +69,13 @@ type ticket
     worker end of cross-process trace propagation.  Without tracing the
     option costs one branch. *)
 val submit : ?ctx:Ssg_obs.Context.t -> t -> Job.t -> ticket
+
+(** [gate job] is the lint front door's verdict: [Some
+    rendered_diagnostics] exactly when [Ssg_lint.Lint.gate ~k:job.k
+    job.run] is, with the same text.  A job whose [k] is at least its
+    run's [min_k] is accepted from that one comparison; the lint passes
+    run only to render a rejection. *)
+val gate : Job.t -> string option
 
 (** [rejection ticket] is [Some rendered_diagnostics] iff the submission
     was refused at the lint front door. *)

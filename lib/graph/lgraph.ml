@@ -19,7 +19,14 @@ open Ssg_util
    [shared] is the copy-on-write mark.  [copy] returns a second record
    over the same buffers and marks both; a mutator on a shared record
    first moves it onto private buffers, so neither handle ever observes
-   the other's writes. *)
+   the other's writes.
+
+   [root] is the rootedness mark: a node r such that every node of the
+   graph reaches r along its edges, or -1 when none is known.  [create]
+   and a pruning [rebuild] set it to [self]; every mutator clears it
+   ([own], [install], [reset]), [swap] exchanges it with the buffers and
+   [copy] shares it with them.  [rebuild] reads it to skip Line 25's
+   closure. *)
 type t = {
   n : int;
   w : int;
@@ -27,6 +34,7 @@ type t = {
   mutable rows : int array;
   mutable labels : int array;
   mutable shared : bool;
+  mutable root : int;
 }
 
 (* [Bitset.word_bits], stated as [Sys.int_size] so that it is a
@@ -59,6 +67,7 @@ let create n ~self =
       rows = Array.make (rows_len ~n ~w) 0;
       labels = [||];
       shared = false;
+      root = self;
     }
   in
   check_node g self;
@@ -67,8 +76,10 @@ let create n ~self =
 
 let capacity g = g.n
 
-(* Move a shared record onto private copies of its buffers. *)
+(* Ready [g] for a mutation: the mutation may break the rootedness, and
+   a shared record moves onto private copies of its buffers. *)
 let own g =
+  g.root <- -1;
   if g.shared then begin
     g.nodes <- Bitset.copy g.nodes;
     g.rows <- Array.copy g.rows;
@@ -82,7 +93,8 @@ let install g (rows, labels) =
   if g.shared then g.nodes <- Bitset.copy g.nodes;
   g.rows <- rows;
   g.labels <- labels;
-  g.shared <- false
+  g.shared <- false;
+  g.root <- -1
 
 let reset g ~self =
   check_node g self;
@@ -97,6 +109,7 @@ let reset g ~self =
     Array.fill g.rows 0 (Array.length g.rows) 0
   end;
   g.labels <- [||];
+  g.root <- -1;
   Bitset.add g.nodes self
 
 let copy g =
@@ -231,10 +244,16 @@ let union_nodes_into ~into src =
   own into;
   Bitset.union_into ~into:into.nodes src.nodes
 
-(* Backward closure from [self] over the support words of [rows]: a
-   node joins the kept set once one of its out-edges enters it; passes
-   repeat until one adds nothing.  The result is a [w]-word bitset. *)
-let closure ~n ~w rows ~self =
+(* The node set as [w] words. *)
+let node_words ~w nodes = Array.init w (Bitset.word nodes)
+
+let popcount_words a = Array.fold_left (fun c x -> c + Bitset.popcount x) 0 a
+
+(* Backward closure from [self] over the support words of [rows],
+   within the nodes of [mask] ([w] words): a node of [mask] joins the
+   kept set once one of its out-edges enters it; passes repeat until
+   one adds nothing.  The result is a [w]-word bitset. *)
+let closure ~n ~w rows ~mask ~self =
   let keep = Array.make w 0 in
   keep.(self / wb) <- bit self;
   let changed = ref true in
@@ -242,7 +261,7 @@ let closure ~n ~w rows ~self =
     changed := false;
     for q = 0 to n - 1 do
       let qi = q / wb in
-      if keep.(qi) land bit q = 0 then begin
+      if (mask.(qi) land lnot keep.(qi)) land bit q <> 0 then begin
         let i = ref 0 in
         while !i < w && rows.((q * w) + !i) land keep.(!i) = 0 do
           incr i
@@ -312,8 +331,8 @@ let restrict_edges ~n ~w rows labels keep =
    none did.  With [self] a node, the kept set is a subset of [nodes],
    so equal counts settle the common case without a pass over them. *)
 let pruned ~n ~w rows labels nodes ~self =
-  let keep = closure ~n ~w rows ~self in
-  let count = Array.fold_left (fun c x -> c + Bitset.popcount x) 0 keep in
+  let keep = closure ~n ~w rows ~mask:(node_words ~w nodes) ~self in
+  let count = popcount_words keep in
   if Bitset.mem nodes self && count = Bitset.cardinal nodes then None
   else if restrict nodes keep then Some (restrict_edges ~n ~w rows labels keep)
   else None
@@ -334,6 +353,7 @@ type builder = {
   mutable buf : int array;
   mutable len : int;  (* labels emitted so far *)
   mutable m : int;  (* sources added *)
+  mutable dropped : bool;  (* some candidate edge had no label to keep *)
   srows : int array array;
   slabels : int array array;
   above : int array;
@@ -352,6 +372,7 @@ let builder n ~sources ~labels =
     buf = Array.make (max n labels) 0;
     len = 0;
     m = 0;
+    dropped = false;
     srows = Array.make sources [||];
     slabels = Array.make sources [||];
     above = Array.make sources 0;
@@ -372,7 +393,8 @@ let release b =
   Array.fill b.srows 0 b.m [||];
   Array.fill b.slabels 0 b.m [||];
   b.m <- 0;
-  b.len <- 0
+  b.len <- 0;
+  b.dropped <- false
 
 (* Row [q] of the result: every edge of a source's row q is a candidate;
    its label is the max over the sources' labels above their thresholds,
@@ -417,7 +439,10 @@ let merge_row b q ~col ~fresh =
         Array.unsafe_set buf !k !best;
         incr k
       end
-      else out := !out lxor low_bit;
+      else begin
+        out := !out lxor low_bit;
+        b.dropped <- true
+      end;
       rest := !rest lxor low_bit
     done;
     hdr.((q * w) + i) <- !out
@@ -469,7 +494,12 @@ let scratch n = builder n ~sources:n ~labels:n
    sources, and row q gets the fresh edge q --round--> self when q is
    timely ([round] exceeds every label of a received graph, so the
    overwrite keeps the max semantics).  Pruning runs on the builder's
-   support, so the result is allocated once, at its exact size. *)
+   support, so the result is allocated once, at its exact size.
+
+   The closure is skipped when every sender's graph is rooted at that
+   sender and the merge dropped no candidate edge: every edge of every
+   sender is then in the result, so each node of a sender's graph
+   reaches the sender, a timely node, whose fresh edge goes to [self]. *)
 let rebuild b ~self ~round ~above ~prune ~timely received =
   let n = b.bn in
   if self < 0 || self >= n then
@@ -478,14 +508,17 @@ let rebuild b ~self ~round ~above ~prune ~timely received =
   let nodes = Bitset.create n in
   Bitset.add nodes self;
   Bitset.union_into ~into:nodes timely;
+  let rooted = ref true in
   Bitset.iter
     (fun q ->
       match received q with
       | Some g ->
           (* marked shared, so that a later [received] call that mutates
              [g] copies it first: the merge's unchecked reads rely on the
-             captured buffers staying as they are *)
+             captured buffers staying as they are, and the mark read
+             here describes them *)
           g.shared <- true;
+          if g.root <> q then rooted := false;
           add_source b g ~above;
           Bitset.union_into ~into:nodes g.nodes
       | None -> ())
@@ -493,35 +526,79 @@ let rebuild b ~self ~round ~above ~prune ~timely received =
   for q = 0 to n - 1 do
     merge_row b q ~col:self ~fresh:(if Bitset.mem timely q then round else 0)
   done;
+  let must_prune = prune && (b.dropped || not !rooted) in
   let rows, labels =
-    match if prune then pruned ~n ~w:b.bw b.hdr b.buf nodes ~self else None with
+    match if must_prune then pruned ~n ~w:b.bw b.hdr b.buf nodes ~self else None with
     | Some bufs -> bufs
     | None -> sealed b
   in
   release b;
-  { n; w = b.bw; nodes; rows; labels; shared = false }
+  {
+    n;
+    w = b.bw;
+    nodes;
+    rows;
+    labels;
+    shared = false;
+    root = (if prune then self else -1);
+  }
 
 let swap a b =
   check_same a b;
   let nodes = a.nodes and rows = a.rows in
-  let labels = a.labels and shared = a.shared in
+  let labels = a.labels and shared = a.shared and root = a.root in
   a.nodes <- b.nodes;
   a.rows <- b.rows;
   a.labels <- b.labels;
   a.shared <- b.shared;
+  a.root <- b.root;
   b.nodes <- nodes;
   b.rows <- rows;
   b.labels <- labels;
-  b.shared <- shared
+  b.shared <- shared;
+  b.root <- root
 
 let to_digraph g =
   let d = Digraph.create g.n in
   iter_edges g (fun q p _ -> Digraph.add_edge d q p);
   d
 
+(* Forward closure from [src] over the support words of [rows], within
+   the nodes of [mask]: a worklist of reached nodes whose rows are yet
+   to be read, one or-in of a row per node. *)
+let forward ~w rows ~mask ~src =
+  let reach = Array.make w 0 and todo = Array.make w 0 in
+  reach.(src / wb) <- bit src;
+  todo.(src / wb) <- bit src;
+  let i = ref 0 in
+  while !i < w do
+    let t = todo.(!i) in
+    if t = 0 then incr i
+    else begin
+      let low_bit = t land -t in
+      todo.(!i) <- t lxor low_bit;
+      let q = (!i * wb) + Bitset.lowest_bit low_bit in
+      for j = 0 to w - 1 do
+        let fresh = rows.((q * w) + j) land mask.(j) land lnot reach.(j) in
+        if fresh <> 0 then begin
+          reach.(j) <- reach.(j) lor fresh;
+          todo.(j) <- todo.(j) lor fresh;
+          if j < !i then i := j
+        end
+      done
+    end
+  done;
+  reach
+
+(* Strongly connected iff the smallest node reaches, and is reached
+   from, every node — both closures within the node set. *)
 let is_strongly_connected g =
-  if Bitset.cardinal g.nodes <= 1 then true
-  else Scc.is_strongly_connected ~nodes:g.nodes (to_digraph g)
+  let count = Bitset.cardinal g.nodes in
+  count <= 1
+  ||
+  let src = Bitset.min_elt g.nodes and mask = node_words ~w:g.w g.nodes in
+  popcount_words (forward ~w:g.w g.rows ~mask ~src) = count
+  && popcount_words (closure ~n:g.n ~w:g.w g.rows ~mask ~self:src) = count
 
 let fold_labels f g init =
   let acc = ref init in

@@ -49,7 +49,16 @@
     ({!reset} allocates fresh ones instead of copying), so the two
     handles are observationally independent — exactly as with an eager
     copy.  Readers never copy.  This is what lets [Ssg_core.Approx]
-    hand out its graph as the round's message without copying it. *)
+    hand out its graph as the round's message without copying it.
+
+    {b Rootedness mark.}  Each graph may carry a node that every node
+    of the graph is known to reach along its edges.  {!create} [~self]
+    and {!rebuild} [~prune:true] set it to [self]; every mutator that
+    changes the graph clears it (so does {!reset}, though its result is
+    rooted); {!swap}
+    exchanges it with the contents and {!copy} shares it.  The mark is
+    never observable: it only lets {!rebuild} skip Line 25's closure
+    when that closure cannot prune anything. *)
 
 open Ssg_util
 
@@ -167,7 +176,13 @@ val scratch : int -> scratch
     through one cursor per sender, so no row offset or column index is
     looked up.  The labels go to [s]'s growable buffer, pruning runs on
     the support words there, and only then is the result allocated, at
-    its exact size.  [received q] is called once per [q] in [timely];
+    its exact size.
+
+    The pruning closure is skipped when every received graph is marked
+    rooted at its sender [q] and the merge dropped no candidate edge
+    (none lacked a label above [above]): each node then reaches a
+    timely sender, whose fresh edge goes to [self], so nothing would be
+    pruned.  With [~prune:true] the result is marked rooted at [self].  [received q] is called once per [q] in [timely];
     the received graphs are only read — each is marked as shared, as by
     {!copy}, so that mutating one later copies it first — and [s] keeps
     no reference to them afterwards.
@@ -183,8 +198,10 @@ val rebuild :
   t
 
 (** [is_strongly_connected g] — the labelled subgraph on [nodes g] is
-    strongly connected (true when the node set is the singleton owner) —
-    the decision test of Line 28. *)
+    strongly connected (true when the node set has at most one node) —
+    the decision test of Line 28.  Word-level: a forward and a backward
+    closure from the smallest node over the support rows, both within
+    the node set, each must reach every node; no {!Digraph} is built. *)
 val is_strongly_connected : t -> bool
 
 (** [swap a b] exchanges the contents of [a] and [b] in O(1) — a

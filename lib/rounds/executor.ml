@@ -115,11 +115,12 @@ module Make (A : Round_model.ALGORITHM) = struct
         payloads;
       (* A delivered message is exactly an edge of the round graph. *)
       messages_delivered := !messages_delivered + Digraph.edge_count graph;
+      (* q's inbox holds p's payload exactly for the in-neighbours p of
+         q; each payload is wrapped once and shared by its receivers. *)
+      let delivered = Array.map Option.some payloads in
       let transition_one q =
-        let inbox =
-          Array.init n (fun p ->
-              if Digraph.mem_edge graph p q then Some payloads.(p) else None)
-        in
+        let inbox = Array.make n None in
+        Digraph.iter_preds graph q (fun p -> inbox.(p) <- delivered.(p));
         A.transition ~round:r states.(q) inbox
       in
       (* Per-process transitions are independent: q's transition touches

@@ -83,6 +83,8 @@ let popcount x =
   let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
   (x * 0x0101_0101_0101_0101) lsr 56
 
+let word s i = s.words.(i)
+
 let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
 
 let is_empty s = Array.for_all (fun w -> w = 0) s.words

@@ -118,6 +118,10 @@ val to_string : t -> string
 (** Bits used per word: [Sys.int_size]. *)
 val word_bits : int
 
+(** [word s i] is word [i] of [s]: bit [b] is element
+    [i * word_bits + b].  [i] must be below [⌈capacity s / word_bits⌉]. *)
+val word : t -> int -> int
+
 (** [popcount w] is the number of set bits of [w]. *)
 val popcount : int -> int
 

@@ -81,6 +81,14 @@ let to_lgraph g ~self =
   List.iter (fun (q, p, label) -> Lgraph.set_edge l q p ~label) (edges g);
   l
 
+(* [of_lgraph l] is the model of [l]: its nodes and labels, cell by
+   cell. *)
+let of_lgraph l =
+  let n = Lgraph.capacity l in
+  let g = { n; nodes = Array.init n (Lgraph.mem_node l); lab = Array.make (n * n) 0 } in
+  Lgraph.iter_edges l (fun q p label -> g.lab.((q * n) + p) <- label);
+  g
+
 (* [agrees l g] — same universe, nodes, labels cell by cell, and edges
    as enumerated from [l]'s support rows: the support invariant (bit set
    iff label positive) seen from outside. *)

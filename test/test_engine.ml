@@ -686,6 +686,44 @@ let test_server_end_to_end () =
   Thread.join server;
   check "socket file removed on shutdown" false (Sys.file_exists socket)
 
+(* The engine's front door accepts on [k >= min_k] without running the
+   lint passes; its verdict and message must equal [Lint.gate]'s on
+   either side of that boundary, across the generated families and the
+   paper's hand-made runs. *)
+let test_gate_matches_lint () =
+  let advs =
+    [ Build.figure1 (); Build.lower_bound ~n:6 ~k:3; Build.synchronous ~n:5 ]
+    @ List.concat_map
+        (fun seed ->
+          let rng = Rng.of_int seed in
+          let n = 4 + Rng.int rng 14 in
+          [
+            Build.block_sources rng ~n ~k:(1 + Rng.int rng 3) ~prefix_len:3
+              ~noise:0.3 ();
+            Build.partitioned rng ~n ~blocks:(2 + Rng.int rng 2) ~prefix_len:3
+              ~noise:0.3 ();
+            Build.single_root rng ~n ~prefix_len:2 ~noise:0.3 ();
+            Build.arbitrary rng ~n ~density:(Rng.float rng) ~prefix_len:3
+              ~noise:0.5 ();
+          ])
+        (List.init 8 Fun.id)
+  in
+  List.iter
+    (fun adv ->
+      let min_k = Adversary.min_k adv in
+      List.iter
+        (fun k ->
+          if k >= 1 then begin
+            let job = Job.make ~k adv in
+            let expect = Ssg_lint.Lint.gate ~k job.Job.run in
+            let label = Printf.sprintf "%s, min_k %d, k %d" (Adversary.name adv) min_k k in
+            Alcotest.(check (option string)) label expect (Engine.gate job);
+            check (label ^ ": rejected iff k < min_k") (k < min_k)
+              (Option.is_some expect)
+          end)
+        [ min_k - 1; min_k; min_k + 1 ])
+    advs
+
 let tests =
   [
     Alcotest.test_case "bqueue fifo" `Quick test_bqueue_fifo;
@@ -718,6 +756,8 @@ let tests =
     Alcotest.test_case "engine failure propagation" `Quick
       test_engine_failure_propagation;
     Alcotest.test_case "engine batch dedup" `Quick test_engine_batch;
+    Alcotest.test_case "engine gate = lint gate around min_k" `Quick
+      test_gate_matches_lint;
     Alcotest.test_case "server end-to-end (concurrent clients)" `Quick
       test_server_end_to_end;
   ]

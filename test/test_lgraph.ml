@@ -330,8 +330,15 @@ let run_program (n, ops) =
   let real = Array.init 3 (fun s -> Lgraph.create n ~self:(s mod n)) in
   let model = Array.init 3 (fun s -> Lgraph_ref.create n ~self:(s mod n)) in
   let scratch = Lgraph.scratch n in
+  (* word-level strong connectivity against Tarjan on the unlabelled
+     edges; a node set of at most one node counts as connected *)
+  let sc_agrees g =
+    Lgraph.is_strongly_connected g
+    = (Lgraph.node_count g <= 1
+      || Scc.is_strongly_connected ~nodes:(Lgraph.nodes g) (Lgraph.to_digraph g))
+  in
   let agree () =
-    Array.for_all2 (fun l g -> Lgraph_ref.agrees l g) real model
+    Array.for_all2 (fun l g -> Lgraph_ref.agrees l g && sc_agrees l) real model
   in
   List.for_all
     (fun op ->
@@ -483,10 +490,136 @@ let test_rebuild_reads_senders_as_returned () =
     (Lgraph.edges g);
   check_int "the caller's graph changed" (n + 1) (Lgraph.edge_count g0)
 
+(* The rooted prune skip.  Processes 0..m-1 run Algorithm 1's rebuild
+   round after round over a fixed acyclic timely pattern (p hears
+   itself, p - 1 and a few lower ids), each sending its previous
+   rebuild, so every sender's graph is rooted at that sender and the
+   closure is skipped; every rebuild is checked against the dense
+   always-pruning reference.  Then the last process's graph is changed
+   by each mutator so that some node no longer reaches it, and a
+   receiver that hears only that process must prune exactly as the
+   reference does.  Two ids stay out of the pattern: [z], which no
+   process hears, and the receiver [recv].  With n > 63 both sit in the
+   second support word. *)
+let reference_rebuild n ~self ~round ~above ~timely received =
+  let m = Lgraph_ref.create n ~self in
+  Bitset.iter
+    (fun q ->
+      Option.iter
+        (fun g -> Lgraph_ref.merge_max_into ~above ~into:m (Lgraph_ref.of_lgraph g))
+        (received q))
+    timely;
+  Bitset.iter (fun q -> Lgraph_ref.set_edge m q self ~label:round) timely;
+  Lgraph_ref.prune_unreachable m ~self;
+  m
+
+(* Every node of [g] reaches [q] along its edges. *)
+let all_reach g q =
+  let m = Lgraph_ref.of_lgraph g in
+  let pruned = Lgraph_ref.copy m in
+  Lgraph_ref.prune_unreachable pruned ~self:q;
+  pruned.Lgraph_ref.nodes = m.Lgraph_ref.nodes
+
+let run_rooted_program (n, seed) =
+  let rng = Rng.of_int seed in
+  let m = min (n - 2) (5 + Rng.int rng 6) and z = n - 2 and recv = n - 1 in
+  let pt =
+    Array.init m (fun p ->
+        let s = Bitset.singleton n p in
+        if p > 0 then Bitset.add s (p - 1);
+        if p > 1 then
+          for _ = 1 to 2 do
+            Bitset.add s (Rng.int rng p)
+          done;
+        s)
+  in
+  let scratch = Lgraph.scratch n in
+  let checked ~self ~round ~above ~timely received =
+    let g = Lgraph.rebuild scratch ~self ~round ~above ~prune:true ~timely received in
+    (g, Lgraph_ref.agrees g (reference_rebuild n ~self ~round ~above ~timely received))
+  in
+  let graphs = Array.init m (fun p -> Lgraph.create n ~self:p) in
+  let ok = ref true in
+  (* [round - n] is Algorithm 1's purge threshold: below every label in
+     these m + 1 rounds, so no candidate edge is dropped *)
+  for round = 1 to m + 1 do
+    let sent = Array.copy graphs in
+    for p = 0 to m - 1 do
+      let g, agrees =
+        checked ~self:p ~round ~above:(round - n) ~timely:pt.(p) (fun q ->
+            Some sent.(q))
+      in
+      if not agrees then ok := false;
+      graphs.(p) <- g
+    done
+  done;
+  let last = m + 1 and q = m - 1 in
+  let g0 = graphs.(q) in
+  (* each mutation gives the sender its result is heard from, and the
+     result *)
+  let on_copy f () =
+    let g = Lgraph.copy g0 in
+    f g;
+    (q, g)
+  in
+  let swapped () =
+    let g = Lgraph.copy g0 and h = Lgraph.copy graphs.(0) in
+    Lgraph.swap g h;
+    (g, h)
+  in
+  let isolated_z = Lgraph.create n ~self:z in
+  let mutations =
+    [
+      ("set_edge", on_copy (fun g -> Lgraph.set_edge g q z ~label:1));
+      ( "remove_edge",
+        on_copy (fun g ->
+            for v = 0 to n - 1 do
+              if v <> q then Lgraph.remove_edge g v q
+            done) );
+      ("add_node", on_copy (fun g -> Lgraph.add_node g z));
+      ("merge_max_into", on_copy (fun g -> Lgraph.merge_max_into ~into:g isolated_z));
+      ("purge", on_copy (fun g -> Lgraph.purge g ~upto:last));
+      ("prune_unreachable", on_copy (fun g -> Lgraph.prune_unreachable g ~self:0));
+      ("reset", on_copy (fun g -> Lgraph.reset g ~self:z));
+      ("swap", fun () -> (q, fst (swapped ())));
+      ("swap, other side", fun () -> (0, snd (swapped ())));
+      ("union_nodes_into", on_copy (fun g -> Lgraph.union_nodes_into ~into:g isolated_z));
+      ( "Codec.read",
+        fun () ->
+          let h = Lgraph.copy g0 in
+          Lgraph.add_node h z;
+          (q, Codec.decode (Codec.encode h ~label_bits:8) ~n ~self:q ~label_bits:8) );
+    ]
+  in
+  let hear sender ~above g =
+    snd
+      (checked ~self:recv ~round:(last + 1) ~above
+         ~timely:(Bitset.singleton n sender) (fun _ -> Some g))
+  in
+  let mutated =
+    List.for_all
+      (fun (name, mutate) ->
+        let sender, g = mutate () in
+        if all_reach g sender then
+          failwith (name ^ ": the mutation left the graph rooted");
+        hear sender ~above:0 g)
+      mutations
+  in
+  (* an unchanged, rooted sender whose older labels the merge drops:
+     only q's own fresh edges survive [above = last - 1] *)
+  !ok && all_reach g0 q && mutated && hear q ~above:(last - 1) g0
+
+let gen_rooted =
+  QCheck2.Gen.(pair (oneof [ int_range 7 12; int_range 64 70 ]) (int_bound 1_000_000))
+
 let kernel_props =
   [
     QCheck2.Test.make ~count:300 ~print:print_program
       ~name:"kernels match the dense reference" gen_program run_program;
+    QCheck2.Test.make ~count:40
+      ~print:(fun (n, seed) -> Printf.sprintf "n=%d seed=%d" n seed)
+      ~name:"rebuild prunes exactly after every mutator" gen_rooted
+      run_rooted_program;
   ]
 
 let tests =

@@ -158,6 +158,54 @@ let test_save_load_file () =
       Run_format.save adv path;
       check "file roundtrip" true (same_run adv (Run_format.load path)))
 
+(* The formatter as it was written with [Printf] and edge lists: the
+   buffer-writing [to_string] must reproduce it byte for byte. *)
+let reference_to_string adv =
+  let edge_tokens g =
+    Digraph.edges g
+    |> List.filter (fun (a, b) -> a <> b)
+    |> List.map (fun (a, b) -> Printf.sprintf "%d>%d" a b)
+    |> String.concat " "
+  in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "ssg-run v1\n";
+  Buffer.add_string buf
+    (Printf.sprintf "# %s\nn %d\n" (Adversary.name adv) (Adversary.n adv));
+  for r = 1 to Adversary.prefix_length adv do
+    Buffer.add_string buf
+      (Printf.sprintf "round %d: %s\n" r (edge_tokens (Adversary.graph adv r)))
+  done;
+  Buffer.add_string buf
+    (Printf.sprintf "stable: %s\n"
+       (edge_tokens (Adversary.graph adv (Adversary.prefix_length adv + 1))));
+  Buffer.contents buf
+
+let prop_matches_reference =
+  QCheck2.Test.make ~count:200 ~name:"to_string matches the reference formatter"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.of_int seed in
+      let n = 1 + Rng.int rng 70 in
+      (* density 0 gives graphs with self-loops only: empty lines *)
+      let graph () =
+        let density = if Rng.bool rng then 0. else Rng.float rng in
+        let g = Digraph.create n in
+        Digraph.add_self_loops g;
+        for a = 0 to n - 1 do
+          for b = 0 to n - 1 do
+            if Rng.chance rng density then Digraph.add_edge g a b
+          done
+        done;
+        g
+      in
+      let prefix = Array.init (Rng.int rng 5) (fun _ -> graph ()) in
+      let adv =
+        Adversary.make
+          ~name:(if Rng.bool rng then "loaded" else Printf.sprintf "run-%d" seed)
+          ~prefix ~stable:(graph ())
+      in
+      String.equal (Run_format.to_string adv) (reference_to_string adv))
+
 let tests =
   [
     Alcotest.test_case "roundtrip examples" `Quick test_roundtrip_examples;
@@ -173,4 +221,4 @@ let tests =
     Alcotest.test_case "recurrent rejected" `Quick test_recurrent_rejected;
     Alcotest.test_case "save/load file" `Quick test_save_load_file;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_roundtrip ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_matches_reference ]
