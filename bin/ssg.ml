@@ -1042,6 +1042,12 @@ let trace_cmd =
         `Ok ()
       end
     in
+    let pull () =
+      let c = Ssg_engine.Client.connect ~socket () in
+      Fun.protect
+        ~finally:(fun () -> Ssg_engine.Client.close c)
+        (fun () -> Ssg_engine.Client.trace_pull c)
+    in
     if fleet then begin
       match
         let edge =
@@ -1049,26 +1055,7 @@ let trace_cmd =
           | None -> []
           | Some url -> [ fetch_gateway_report url ]
         in
-        let c = Ssg_engine.Client.connect ~socket () in
-        let pulled =
-          Fun.protect
-            ~finally:(fun () -> Ssg_engine.Client.close c)
-            (fun () ->
-              try Ssg_engine.Client.trace_pull c
-              with Failure _ ->
-                (* A pre-Trace_pull peer: degrade to the plain drain,
-                   anchor-less (epoch 0 stays unshifted). *)
-                [
-                  {
-                    Ssg_obs.Tracer.role = "worker";
-                    pid = 0;
-                    epoch_s = 0.;
-                    dropped_events = 0;
-                    events = Ssg_engine.Client.trace c;
-                  };
-                ])
-        in
-        edge @ pulled
+        edge @ pull ()
       with
       | exception Failure msg -> `Error (false, msg)
       | reports ->
@@ -1080,11 +1067,9 @@ let trace_cmd =
           finish count (Ssg_obs.Stitch.chrome_of_reports reports)
     end
     else if remote then begin
-      let c = Ssg_engine.Client.connect ~socket () in
+      (* The first report is the addressed process's own. *)
       let events =
-        Fun.protect
-          ~finally:(fun () -> Ssg_engine.Client.close c)
-          (fun () -> Ssg_engine.Client.trace c)
+        match pull () with r :: _ -> r.Ssg_obs.Tracer.events | [] -> []
       in
       finish (List.length events)
         (Ssg_obs.Export.chrome_json ~process:"ssgd" events)

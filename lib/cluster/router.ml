@@ -4,7 +4,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 module Metrics = Ssg_obs.Metrics
 module Tracer = Ssg_obs.Tracer
 module Transport = Ssg_net.Transport
-module Frame = Ssg_net.Frame
 open Ssg_engine
 
 (* Per-shard metric slot.  Members come and go at runtime (Join/Leave),
@@ -235,33 +234,15 @@ let merged_stats t =
       Protocol.Stats_snapshot (Telemetry.merge (List.map snd reports))
 
 (* Fleet trace pull: relay [Trace_pull] to every backend and prepend
-   the router's own report.  A pre-context backend answers the unknown
-   tag with a protocol [Error] (and drops the connection) — fall back
-   to the legacy [Trace] op for it, wrapped in an anchor-less report
-   ([epoch_s = 0]: the stitcher leaves it unshifted). *)
+   the router's own report.  A backend that does not answer with
+   reports contributes none. *)
 let fleet_reports t =
-  let legacy addr =
-    match forward t addr Protocol.Trace with
-    | Protocol.Trace_events events ->
-        [
-          {
-            Tracer.role = "worker";
-            pid = 0;
-            epoch_s = 0.;
-            dropped_events = 0;
-            events;
-          };
-        ]
-    | _ -> []
-    | exception _ -> []
-  in
   let backend_reports =
     backends t
     |> List.concat_map (fun addr ->
            match forward t addr Protocol.Trace_pull with
            | Protocol.Trace_reports reports -> reports
-           | _ -> legacy addr
-           | exception _ -> legacy addr)
+           | _ | (exception _) -> [])
   in
   Tracer.report_here ~role:"router" () :: backend_reports
 
@@ -487,172 +468,54 @@ let fan_compact t =
       | exception _ -> total)
     0 (Registry.up t.registry)
 
-(* ---------------- the front-end socket server ---------------- *)
+(* ---------------- the front end ---------------- *)
 
-(* The front end speaks the same two dialects as [Server]: plain frames
-   answered strictly in order, id-framed requests dispatched to their
-   own thread (bounded per connection by [max_inflight]) so one slow
-   shard does not head-of-line-block an entire client connection. *)
-let handle_connection t ~stop ~wake ~active ~max_inflight fd =
-  let wlock = Mutex.create () in
-  let inflight = Atomic.make 0 in
-  let broken = Atomic.make false in
-  let send ?id reply =
-    let payload = Protocol.reply_to_bytes (reply : Protocol.reply) in
-    let payload =
-      match id with Some id -> Frame.with_id ~id payload | None -> payload
-    in
-    Mutex.lock wlock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock wlock)
-      (fun () -> Protocol.write_frame_fd fd payload)
-  in
-  let reject ?id msg =
-    Log.warn (fun m -> m "dropping connection: %s" msg);
-    try send ?id (Protocol.Error msg) with _ -> ()
-  in
-  let serve_request ?ctx ?id request =
-    try
-      match request with
-      | Protocol.Submit job ->
-          send ?id (route_job ?ctx t job);
-          true
-      | Protocol.Batch jobs ->
-          send ?id (route_batch ?ctx t jobs);
-          true
-      | Protocol.Stats ->
-          send ?id (merged_stats t);
-          true
-      | Protocol.Metrics ->
-          send ?id (Protocol.Metrics_text (metrics_text t));
-          true
-      | Protocol.Trace ->
-          send ?id (Protocol.Trace_events (Tracer.events ()));
-          true
-      | Protocol.Trace_pull ->
-          send ?id (Protocol.Trace_reports (fleet_reports t));
-          true
-      | Protocol.Join addr -> (
-          match Transport.of_string_exn addr with
-          | exception (Invalid_argument msg | Failure msg) ->
-              send ?id (Protocol.Error ("join: bad address: " ^ msg));
-              true
-          | a ->
-              let canonical = Transport.to_string a in
-              if t.self_addr = Some canonical then begin
-                send ?id (Protocol.Error "join: the router cannot be its own backend");
-                true
-              end
-              else begin
-                (* The Ack is sent only after any warm handoff ran, so a
-                   joiner knows its cache is seeded once admitted. *)
-                admit t canonical;
-                send ?id Protocol.Ack;
-                true
-              end)
-      | Protocol.Leave addr -> (
-          match Transport.of_string_exn addr with
-          | exception (Invalid_argument msg | Failure msg) ->
-              send ?id (Protocol.Error ("leave: bad address: " ^ msg));
-              true
-          | a ->
-              retire t (Transport.to_string a);
-              send ?id Protocol.Ack;
-              true)
-      | Protocol.Compact ->
-          send ?id (Protocol.Compacted (fan_compact t));
-          true
-      | Protocol.Export _ | Protocol.Transfer _ ->
-          (* Handoff ops terminate at workers; the router only issues
-             them. *)
-          send ?id (Protocol.Error "handoff ops are worker-facing");
-          true
-      | Protocol.Shutdown ->
-          Log.info (fun m -> m "router shutdown requested");
-          Atomic.set stop true;
-          wake ();
-          send ?id Protocol.Shutting_down;
-          false
-    with
-    | Sys_error _ | Unix.Unix_error _ -> false
-    | e ->
-        let msg = Printexc.to_string e in
-        Log.warn (fun m -> m "router handler error: %s" msg);
-        (try send ?id (Protocol.Error msg) with _ -> ());
-        false
-  in
-  let rec loop () =
-    if Atomic.get broken then ()
-    else
-      match Protocol.read_frame_fd fd with
-      | exception End_of_file -> ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          Log.info (fun m -> m "reaping stalled connection")
-      | exception Unix.Unix_error _ -> ()
-      | exception Failure msg -> reject msg
-      | frame -> (
-          match Frame.classify frame with
-          | exception Failure msg -> reject msg
-          | Frame.Plain frame -> (
-              match Frame.split_ctx frame with
-              | exception Failure msg -> reject msg
-              | ctx_wire, frame -> (
-                  let ctx = Option.bind ctx_wire Ssg_obs.Context.of_wire in
-                  match Protocol.request_of_bytes frame with
-                  | exception Failure msg -> reject msg
-                  | request -> if serve_request ?ctx request then loop ()))
-          | Frame.Id (id, inner) -> (
-              match Frame.split_ctx inner with
-              | exception Failure msg -> reject ~id msg
-              | ctx_wire, inner -> (
-                  let ctx = Option.bind ctx_wire Ssg_obs.Context.of_wire in
-                  match Protocol.request_of_bytes inner with
-                  | exception Failure msg -> reject ~id msg
-                  | Protocol.Shutdown ->
-                      ignore (serve_request ~id Protocol.Shutdown)
-                  | request ->
-                      if Atomic.get inflight >= max_inflight then begin
-                        if serve_request ?ctx ~id request then loop ()
-                      end
-                      else begin
-                        Atomic.incr inflight;
-                        ignore
-                          (Thread.create
-                             (fun () ->
-                               Fun.protect
-                                 ~finally:(fun () -> Atomic.decr inflight)
-                                 (fun () ->
-                                   if not (serve_request ?ctx ~id request)
-                                   then begin
-                                     Atomic.set broken true;
-                                     try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-                                     with Unix.Unix_error _ -> ()
-                                   end))
-                             ())
-                      end;
-                      loop ())))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      while Atomic.get inflight > 0 do
-        Thread.delay 0.002
-      done;
-      Atomic.decr active;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try loop ()
-      with e ->
-        Log.err (fun m ->
-            m "router connection thread escaped: %s" (Printexc.to_string e)))
+(* The router's requests, served by [Server.supervise] — the same
+   connection loop as a worker, so the router speaks both dialects and
+   id-framed requests run on their own threads (one slow shard does not
+   head-of-line-block a client connection).  [Shutdown] never reaches
+   here — the loop handles it. *)
+let handler t : Server.handler =
+ fun ?ctx -> function
+  | Protocol.Submit job -> route_job ?ctx t job
+  | Protocol.Batch jobs -> route_batch ?ctx t jobs
+  | Protocol.Stats -> merged_stats t
+  | Protocol.Metrics -> Protocol.Metrics_text (metrics_text t)
+  | Protocol.Trace_pull -> Protocol.Trace_reports (fleet_reports t)
+  | Protocol.Join addr -> (
+      match Transport.of_string_exn addr with
+      | exception (Invalid_argument msg | Failure msg) ->
+          Protocol.Error ("join: bad address: " ^ msg)
+      | a ->
+          let canonical = Transport.to_string a in
+          if t.self_addr = Some canonical then
+            Protocol.Error "join: the router cannot be its own backend"
+          else begin
+            (* The Ack is sent only after any warm handoff ran, so a
+               joiner knows its cache is seeded once admitted. *)
+            admit t canonical;
+            Protocol.Ack
+          end)
+  | Protocol.Leave addr -> (
+      match Transport.of_string_exn addr with
+      | exception (Invalid_argument msg | Failure msg) ->
+          Protocol.Error ("leave: bad address: " ^ msg)
+      | a ->
+          retire t (Transport.to_string a);
+          Protocol.Ack)
+  | Protocol.Compact -> Protocol.Compacted (fan_compact t)
+  | Protocol.Export _ | Protocol.Transfer _ ->
+      (* Handoff ops terminate at workers; the router only issues them. *)
+      Protocol.Error "handoff ops are worker-facing"
+  | Protocol.Shutdown -> Protocol.Shutting_down
 
 let serve ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
-    ?request_timeout_s ?(max_connections = 256) ?(max_inflight = 32)
-    ?(read_timeout_s = 30.) ?(drain_timeout_s = 5.) ?(trace = false)
-    ~backends ~socket () =
-  if max_connections < 1 then
-    invalid_arg "Router.serve: max_connections must be >= 1";
-  if max_inflight < 1 then
-    invalid_arg "Router.serve: max_inflight must be >= 1";
+    ?request_timeout_s ?max_connections ?max_inflight ?read_timeout_s
+    ?drain_timeout_s ?(trace = false) ~backends ~socket () =
+  let limits =
+    Server.limits ?max_connections ?max_inflight ?read_timeout_s
+      ?drain_timeout_s ()
+  in
   let addr = Transport.of_string_exn socket in
   if
     List.exists
@@ -673,54 +536,12 @@ let serve ?vnodes ?down_after ?probe_interval_s ?probe_timeout_s
   let addr = Transport.bound_addr listen_fd addr in
   t.self_addr <- Some (Transport.to_string addr);
   Registry.start t.registry;
-  let stop = Atomic.make false in
-  let active = Atomic.make 0 in
-  let wake () = Transport.poke addr in
   let members = Registry.backends t.registry in
   Log.app (fun m ->
       m "ssg router listening on %s, fronting %d backend(s)%s"
         (Transport.to_string addr) (List.length members)
         (if members = [] then " (waiting for Join announcements)" else ""));
-  let rec accept_loop () =
-    if not (Atomic.get stop) then begin
-      (match Unix.accept listen_fd with
-      | client_fd, _ ->
-          if Atomic.get stop then (try Unix.close client_fd with _ -> ())
-          else if Atomic.get active >= max_connections then begin
-            (try
-               Protocol.write_reply_fd client_fd
-                 (Protocol.Error "router at connection limit")
-             with _ -> ());
-            try Unix.close client_fd with _ -> ()
-          end
-          else begin
-            Atomic.incr active;
-            (try Unix.setsockopt client_fd Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
-            if read_timeout_s > 0. then
-              (try
-                 Unix.setsockopt_float client_fd Unix.SO_RCVTIMEO
-                   read_timeout_s
-               with Unix.Unix_error _ -> ());
-            ignore
-              (Thread.create
-                 (handle_connection t ~stop ~wake ~active ~max_inflight)
-                 client_fd)
-          end
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-          ());
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  let deadline = Unix.gettimeofday () +. drain_timeout_s in
-  while Atomic.get active > 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  if Atomic.get active > 0 then
-    Log.warn (fun m ->
-        m "drain timeout: abandoning %d connection(s)" (Atomic.get active));
+  Server.supervise limits listen_fd addr (handler t);
   Registry.stop t.registry;
   Transport.cleanup addr;
   Log.app (fun m -> m "ssg router stopped")

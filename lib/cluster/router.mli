@@ -24,8 +24,9 @@
     [Metrics] replies with a cluster exposition — the router's own
     registry (routed / failed-over / markdown counters, per-shard
     [ssg_router_shard<i>_*] series) followed by the merged snapshot
-    under [ssg_cluster_*]; [Trace] drains the router's own tracer
-    rings ([router.route] spans, [router.failover] instants);
+    under [ssg_cluster_*]; [Trace_pull] relays the pull to every
+    backend and prepends the router's own report ([router.route] spans,
+    [router.failover] instants);
     [Compact] is relayed to every up backend and answered with the sum
     of their snapshot sizes; [Shutdown] stops the router (never the
     workers).
@@ -57,10 +58,14 @@
     announcements.
 
     [socket] and every backend are {!Ssg_net.Transport} address strings
-    ([unix:PATH], [tcp:HOST:PORT], or a bare path); the front socket
-    speaks both frame dialects — plain request/reply and id-framed
-    pipelining (up to [max_inflight] concurrent per connection) —
-    exactly like {!Ssg_engine.Server.serve}.
+    ([unix:PATH], [tcp:HOST:PORT], or a bare path).  The front socket
+    is served by {!Ssg_engine.Server.supervise}, the loop a worker runs
+    too, with no fault plan and no telemetry: both frame dialects —
+    plain request/reply and id-framed pipelining (up to [max_inflight]
+    concurrent per connection) — the same supervision, connection
+    limit, reaping and shutdown drain.  Each job is forwarded to its
+    backend in the plain dialect over a fresh {!Ssg_engine.Client}
+    connection, which costs no handler thread on the worker.
 
     - [vnodes], [down_after], [probe_interval_s], [probe_timeout_s]
       are handed to {!Registry.create};
@@ -68,8 +73,7 @@
       — it is the reply deadline on the backend connection, so a mute
       (blackholed) backend turns into a failover, not a hang;
     - [max_connections], [max_inflight], [read_timeout_s],
-      [drain_timeout_s] guard the front socket exactly like
-      {!Ssg_engine.Server.serve};
+      [drain_timeout_s] guard the front socket ({!Ssg_engine.Server.limits});
     - [trace] enables the process tracer and resets it first.
     @raise Invalid_argument on a malformed address or non-positive
     limits, [Unix.Unix_error EADDRINUSE] when a live router already

@@ -1,4 +1,5 @@
 module Transport = Ssg_net.Transport
+module Frame = Ssg_net.Frame
 
 type t = { fd : Unix.file_descr; deadline_s : float option }
 
@@ -42,7 +43,7 @@ let check_params ~who retries deadline_s =
       invalid_arg ("Client." ^ who ^ ": deadline_s must be > 0")
   | _ -> ()
 
-let connect ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s ~socket () =
+let dial ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s ~socket () =
   check_params ~who:"connect" retries deadline_s;
   let addr = Transport.of_string_exn socket in
   (* Bounded exponential backoff: a daemon that is still binding (or
@@ -58,7 +59,10 @@ let connect ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s ~socket () =
   in
   let fd = go retries retry_backoff_s in
   arm_deadline fd deadline_s;
-  { fd; deadline_s }
+  fd
+
+let connect ?retries ?retry_backoff_s ?deadline_s ~socket () =
+  { fd = dial ?retries ?retry_backoff_s ?deadline_s ~socket (); deadline_s }
 
 let connect_any ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s ~sockets
     () =
@@ -93,92 +97,76 @@ let connect_any ?(retries = 3) ?(retry_backoff_s = 0.05) ?deadline_s ~sockets
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 let rpc ?ctx c request =
-  (match ctx with
-  | None -> Protocol.write_request_fd c.fd request
-  | Some context ->
-      (* The context envelope rides outside the plain request payload —
-         a pre-context server never receives one because pre-context
-         callers never pass [ctx]. *)
-      Protocol.write_frame_fd c.fd
-        (Ssg_net.Frame.with_ctx
-           ~ctx:(Ssg_obs.Context.to_wire context)
-           (Protocol.request_to_bytes request)));
-  try Protocol.read_reply_fd c.fd
+  let payload = Protocol.request_to_bytes request in
+  (* The context envelope rides outside the plain request payload. *)
+  Frame.write_fd c.fd
+    (match ctx with
+    | None -> payload
+    | Some context ->
+        Frame.with_ctx ~ctx:(Ssg_obs.Context.to_wire context) payload);
+  try Protocol.reply_of_bytes (Frame.read_fd c.fd)
   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     failwith
       (Printf.sprintf "Client: rpc deadline (%.3f s) exceeded"
          (Option.value c.deadline_s ~default:0.))
 
-let unexpected what = failwith ("Client: unexpected reply to " ^ what)
+(* Typed reply matching, shared with [Pclient]: the request's expected
+   reply shape, or a protocol [Error]'s message verbatim (lint
+   diagnostics ride in it), or the name of an unexpected shape. *)
+let expect what pick reply =
+  match (pick reply, reply) with
+  | Some v, _ -> Ok v
+  | None, Protocol.Error msg -> Error msg
+  | None, _ -> Error ("unexpected reply to " ^ what)
 
-let submit ?ctx c job =
-  match rpc ?ctx c (Protocol.Submit job) with
-  | Protocol.Completed completion -> completion
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "submit"
+let completion =
+  expect "submit" (function Protocol.Completed c -> Some c | _ -> None)
+
+let snapshot =
+  expect "stats" (function Protocol.Stats_snapshot s -> Some s | _ -> None)
+
+let metrics =
+  expect "metrics" (function Protocol.Metrics_text t -> Some t | _ -> None)
+
+let shutting_down =
+  expect "shutdown" (function Protocol.Shutting_down -> Some () | _ -> None)
+
+let ack what = expect what (function Protocol.Ack -> Some () | _ -> None)
+
+let call ?ctx c request decode =
+  match decode (rpc ?ctx c request) with
+  | Ok v -> v
+  | Error msg -> failwith ("server error: " ^ msg)
+
+let submit ?ctx c job = call ?ctx c (Protocol.Submit job) completion
 
 let submit_batch c jobs =
-  match rpc c (Protocol.Batch jobs) with
-  | Protocol.Batch_completed completions -> completions
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "batch"
+  call c (Protocol.Batch jobs)
+    (expect "batch" (function
+      | Protocol.Batch_completed cs -> Some cs
+      | _ -> None))
 
-let stats c =
-  match rpc c Protocol.Stats with
-  | Protocol.Stats_snapshot snapshot -> snapshot
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "stats"
-
-let trace c =
-  match rpc c Protocol.Trace with
-  | Protocol.Trace_events events -> events
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "trace"
+let stats c = call c Protocol.Stats snapshot
 
 let trace_pull c =
-  match rpc c Protocol.Trace_pull with
-  | Protocol.Trace_reports reports -> reports
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "trace_pull"
+  call c Protocol.Trace_pull
+    (expect "trace_pull" (function
+      | Protocol.Trace_reports rs -> Some rs
+      | _ -> None))
 
-let metrics_text c =
-  match rpc c Protocol.Metrics with
-  | Protocol.Metrics_text text -> text
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "metrics"
-
-let shutdown c =
-  match rpc c Protocol.Shutdown with
-  | Protocol.Shutting_down -> ()
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "shutdown"
-
-let join c addr =
-  match rpc c (Protocol.Join addr) with
-  | Protocol.Ack -> ()
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "join"
-
-let leave c addr =
-  match rpc c (Protocol.Leave addr) with
-  | Protocol.Ack -> ()
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "leave"
+let metrics_text c = call c Protocol.Metrics metrics
+let shutdown c = call c Protocol.Shutdown shutting_down
+let join c addr = call c (Protocol.Join addr) (ack "join")
+let leave c addr = call c (Protocol.Leave addr) (ack "leave")
 
 let export c n =
-  match rpc c (Protocol.Export n) with
-  | Protocol.Entries entries -> entries
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "export"
+  call c (Protocol.Export n)
+    (expect "export" (function Protocol.Entries es -> Some es | _ -> None))
 
 let transfer c entries =
-  match rpc c (Protocol.Transfer entries) with
-  | Protocol.Transferred n -> n
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "transfer"
+  call c (Protocol.Transfer entries)
+    (expect "transfer" (function Protocol.Transferred n -> Some n | _ -> None))
 
 let compact c =
-  match rpc c Protocol.Compact with
-  | Protocol.Compacted n -> n
-  | Protocol.Error msg -> failwith ("server error: " ^ msg)
-  | _ -> unexpected "compact"
+  call c Protocol.Compact
+    (expect "compact" (function Protocol.Compacted n -> Some n | _ -> None))

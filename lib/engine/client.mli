@@ -1,10 +1,19 @@
-(** Client side of the [ssgd] wire protocol.
+(** Client side of the [ssgd] wire protocol: the synchronous client.
 
-    One value per connection; each call is one request/reply exchange
-    (the protocol is a strict pipeline per connection, so a [t] must not
-    be shared between threads without external serialization — open one
-    connection per thread instead, which is also what exercises the
-    server's concurrency). *)
+    One value per connection; each call is one plain-frame
+    request/reply exchange (a [t] must not be shared between threads
+    without external serialization — open one connection per thread
+    instead, which is also what exercises the server's concurrency).
+
+    This client stays alongside the pipelined {!Pclient} on purpose.  A
+    plain exchange is served inline on the server's connection thread,
+    while an id-framed one gets a handler thread of its own.  Measured
+    against one worker ([ssg serve --workers 1], 3,000 fresh-connection
+    exchanges of a cached n = 8 job per leg, 6 interleaved repetitions),
+    the plain exchange took 158–218 µs wall and 123–160 µs of worker
+    CPU, the id-framed one 291–357 µs wall and 263–290 µs of worker
+    CPU.  The router forwards every job over a fresh connection, so it
+    speaks the plain dialect through this client. *)
 
 type t
 
@@ -33,6 +42,17 @@ val connect :
   socket:string ->
   unit ->
   t
+
+(** [dial] is {!connect}'s retry loop returning the bare descriptor,
+    deadline armed: how {!Pclient.connect} reaches a server.  Same
+    parameters and exceptions as {!connect}. *)
+val dial :
+  ?retries:int ->
+  ?retry_backoff_s:float ->
+  ?deadline_s:float ->
+  socket:string ->
+  unit ->
+  Unix.file_descr
 
 (** [connect_any ~sockets ()] — multi-address failover: one pass tries
     every address in order, and up to [retries] further passes follow,
@@ -75,16 +95,11 @@ val submit_batch : t -> Job.t list -> Job.completion list
 
 val stats : t -> Telemetry.snapshot
 
-(** [trace c] — drain the server's trace buffers (empty unless the
-    daemon runs with tracing enabled, e.g. [ssgd --trace]). *)
-val trace : t -> Ssg_obs.Tracer.event list
-
-(** [trace_pull c] — the fleet pull: one {!Ssg_obs.Tracer.report} per
-    process reached (a worker answers with its own; a router relays the
-    pull to every backend and prepends itself).  A pre-[Trace_pull]
-    server answers with a protocol [Error], surfacing here as
-    [Failure] — callers that want graceful degradation catch it and
-    fall back to {!trace}. *)
+(** [trace_pull c] — drain the server's trace buffers (empty unless
+    the daemon runs with tracing enabled, e.g. [ssgd --trace]): one
+    {!Ssg_obs.Tracer.report} per process reached — a worker answers
+    with its own, a router relays the pull to every backend and
+    prepends its own. *)
 val trace_pull : t -> Ssg_obs.Tracer.report list
 
 (** [metrics_text c] — the server's stats as Prometheus text
@@ -118,3 +133,16 @@ val transfer : t -> (string * string) list -> int
     truncate); a router fans it out and answers with the sum.  0 when
     no store is attached. *)
 val compact : t -> int
+
+(** {1 Typed reply matching}
+
+    Shared with {!Pclient}: [Ok] for the reply shape the request
+    expects, [Error msg] carrying a protocol [Error]'s message verbatim
+    (lint diagnostics ride in it) or naming an unexpected reply shape.
+    The synchronous calls above raise [Failure ("server error: " ^ msg)]
+    on [Error msg]. *)
+
+val completion : Protocol.reply -> (Job.completion, string) result
+val snapshot : Protocol.reply -> (Telemetry.snapshot, string) result
+val metrics : Protocol.reply -> (string, string) result
+val shutting_down : Protocol.reply -> (unit, string) result

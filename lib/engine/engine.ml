@@ -81,15 +81,23 @@ let trace_instant name job =
    SSG201, and both say "min_k > k" (SSG000 needs text that does not
    parse; the text's one comment, the run's name, suppresses nothing).
    So [k >= min_k] accepts without running the passes, and below it
-   [Lint.gate] renders the rejection. *)
-let gate job =
-  if job.Job.k >= Ssg_adversary.Adversary.min_k job.Job.adv then None
-  else Ssg_lint.Lint.gate ~k:job.Job.k job.Job.run
+   [Lint.gate] renders the rejection.  An accepted job carries its
+   [min_k] on to [Job.execute], which reports it without searching
+   again. *)
+let admit job =
+  let min_k = Ssg_adversary.Adversary.min_k job.Job.adv in
+  if job.Job.k >= min_k then Ok min_k
+  else
+    match Ssg_lint.Lint.gate ~k:job.Job.k job.Job.run with
+    | None -> Ok min_k
+    | Some diags -> Stdlib.Error diags
+
+let gate job = match admit job with Ok _ -> None | Error diags -> Some diags
 
 let run_gate job =
   if Tracer.enabled () then
-    Tracer.with_span ~args:(job_args job) "engine.lint" (fun () -> gate job)
-  else gate job
+    Tracer.with_span ~args:(job_args job) "engine.lint" (fun () -> admit job)
+  else admit job
 
 (* ---------------- durability ---------------- *)
 
@@ -189,7 +197,7 @@ and submit_traced ?lookup ?ctx t job =
         | None -> run_gate job
       in
       match gate with
-      | Some diags ->
+      | Stdlib.Error diags ->
           locked t (fun () -> Hashtbl.remove t.pending key);
           Telemetry.record_rejected_lint t.telemetry;
           trace_instant "engine.lint_reject" job;
@@ -197,9 +205,9 @@ and submit_traced ?lookup ?ctx t job =
           Log.info (fun m -> m "lint rejection: %s" message);
           Ivar.fill cell (Stdlib.Error message);
           Rejected { message; submitted = now }
-      | None -> fresh_execute ?ctx t job ~key ~cell ~now)
+      | Ok min_k -> fresh_execute ?ctx t job ~min_k ~key ~cell ~now)
 
-and fresh_execute ?ctx t job ~key ~cell ~now =
+and fresh_execute ?ctx t job ~min_k ~key ~cell ~now =
   Telemetry.record_miss t.telemetry;
   let task () =
         (* Runs on a worker domain.  The span begins and ends here so
@@ -224,7 +232,7 @@ and fresh_execute ?ctx t job ~key ~cell ~now =
             | Faults.Crash ->
                 Telemetry.record_injected t.telemetry;
                 failwith "injected fault: job crashed");
-            Ok (Job.execute job)
+            Ok (Job.execute ~min_k job)
           with e -> Stdlib.Error (Printexc.to_string e)
         in
         let finished = Unix.gettimeofday () in

@@ -130,7 +130,7 @@ let outcome_of_report (r : Runner.report) =
     violations = r.Runner.violations;
   }
 
-let execute job =
+let execute ?min_k job =
   let adv = job.adv in
   let n = Adversary.n adv in
   (match job.inputs with
@@ -143,22 +143,22 @@ let execute job =
   let rounds = job.rounds in
   let report =
     match job.algorithm with
-    | Kset -> Runner.run_kset ?inputs ?rounds ~monitor:job.monitor adv
+    | Kset -> Runner.run_kset ?inputs ?rounds ~monitor:job.monitor ?min_k adv
     | Floodmin ->
         let budget =
           Ssg_baselines.Floodmin.rounds_for ~f:(n / 2) ~k:job.k
         in
         Runner.run_packed
           (Ssg_baselines.Floodmin.make ~rounds:budget)
-          ?inputs ?rounds adv
+          ?inputs ?rounds ?min_k adv
     | Flood_consensus ->
         Runner.run_packed
           (Ssg_baselines.Flood_consensus.make ~f:(n / 2))
-          ?inputs ?rounds adv
+          ?inputs ?rounds ?min_k adv
     | Naive_min ->
         Runner.run_packed
           (Ssg_baselines.Naive_min.make ~horizon:n)
-          ?inputs ?rounds adv
+          ?inputs ?rounds ?min_k adv
   in
   outcome_of_report report
 

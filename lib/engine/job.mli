@@ -89,11 +89,14 @@ type outcome = {
   violations : string list;
 }
 
-(** [execute job] runs the simulation in the calling domain.
+(** [execute job] runs the simulation in the calling domain.  [min_k],
+    when the caller already computed the run's
+    {!Ssg_adversary.Adversary.min_k} (the engine's front door does), is
+    reported in the outcome as is instead of being searched for again.
     @raise Failure / [Invalid_argument] on inconsistent jobs (e.g. an
     inputs array whose length differs from the run's [n]) — the engine
     converts these into error replies. *)
-val execute : t -> outcome
+val execute : ?min_k:int -> t -> outcome
 
 (** How the service layer reports a finished submission: the outcome (or
     the execution error), whether it was served from the result cache /

@@ -11,16 +11,22 @@
     returns [Error reason] — a protocol-level error (including lint
     rejections, whose diagnostics ride in the message), a dead
     connection, or an exceeded liveness deadline — so a load generator
-    can count failures without exception plumbing. *)
+    can count failures without exception plumbing.
+
+    Each pipelined request costs the server a handler thread of its own
+    (see {!Server}), which is why one-shot exchanges — the router's
+    per-job forwards, the CLI — use the synchronous {!Client} instead.
+    The two share the connect loop and the typed reply matching. *)
 
 type t
 
 type 'a ticket
 
-(** [connect ~socket ()] — same address forms, retry schedule and
-    jittered backoff as {!Client.connect}.  [deadline_s] bounds the
-    {e connection's} silence (no reply frame at all for that long fails
-    every outstanding ticket), not each request.
+(** [connect ~socket ()] — {!Client.dial}: the same address forms,
+    retry schedule and jittered backoff as {!Client.connect}.
+    [deadline_s] bounds the {e connection's} silence (no reply frame at
+    all for that long fails every outstanding ticket), not each
+    request.
     @raise Unix.Unix_error when nothing listens after all retries.
     @raise Invalid_argument on a malformed address or parameters. *)
 val connect :

@@ -4,7 +4,6 @@ type request =
   | Submit of Job.t
   | Batch of Job.t list
   | Stats
-  | Trace
   | Trace_pull
   | Metrics
   | Shutdown
@@ -18,7 +17,6 @@ type reply =
   | Completed of Job.completion
   | Batch_completed of Job.completion list
   | Stats_snapshot of Telemetry.snapshot
-  | Trace_events of Ssg_obs.Tracer.event list
   | Trace_reports of Ssg_obs.Tracer.report list
   | Metrics_text of string
   | Shutting_down
@@ -27,8 +25,6 @@ type reply =
   | Transferred of int
   | Compacted of int
   | Error of string
-
-let max_frame_bytes = 16 * 1024 * 1024
 
 (* ---------------- primitive writers ---------------- *)
 
@@ -108,7 +104,7 @@ let get_bool r =
 
 let get_string r =
   let n = get_int r in
-  if n < 0 || n > max_frame_bytes then
+  if n < 0 || n > Ssg_net.Frame.max_frame_bytes then
     failwith "Protocol: string length out of range";
   take r n
 
@@ -120,7 +116,7 @@ let get_option r get =
 
 let get_list r get =
   let n = get_int r in
-  if n < 0 || n > max_frame_bytes then
+  if n < 0 || n > Ssg_net.Frame.max_frame_bytes then
     failwith "Protocol: list length out of range";
   List.init n (fun _ -> get r)
 
@@ -420,7 +416,6 @@ let request_to_bytes req =
       Buffer.add_char buf 'B';
       put_list buf put_job js
   | Stats -> Buffer.add_char buf 'T'
-  | Trace -> Buffer.add_char buf 'C'
   | Trace_pull -> Buffer.add_char buf 'P'
   | Metrics -> Buffer.add_char buf 'M'
   | Shutdown -> Buffer.add_char buf 'Q'
@@ -459,7 +454,6 @@ let request_of_bytes bytes =
   | 'S' -> Submit (get_job r)
   | 'B' -> Batch (get_list r get_job)
   | 'T' -> Stats
-  | 'C' -> Trace
   | 'P' -> Trace_pull
   | 'M' -> Metrics
   | 'Q' -> Shutdown
@@ -485,9 +479,6 @@ let reply_to_bytes reply =
   | Stats_snapshot s ->
       Buffer.add_char buf 'T';
       put_snapshot buf s
-  | Trace_events es ->
-      Buffer.add_char buf 'V';
-      put_list buf put_event es
   | Trace_reports rs ->
       Buffer.add_char buf 'W';
       put_list buf put_report rs
@@ -517,7 +508,6 @@ let reply_of_bytes bytes =
   | 'R' -> Completed (get_completion r)
   | 'L' -> Batch_completed (get_list r get_completion)
   | 'T' -> Stats_snapshot (get_snapshot r)
-  | 'V' -> Trace_events (get_list r get_event)
   | 'W' -> Trace_reports (get_list r get_report)
   | 'M' -> Metrics_text (get_string r)
   | 'D' -> Shutting_down
@@ -533,28 +523,6 @@ let reply_of_bytes bytes =
       Compacted n
   | 'E' -> Error (get_string r)
   | c -> failwith (Printf.sprintf "Protocol: unknown reply tag %C" c)
-
-(* ---------------- channel framing ---------------- *)
-
-let write_frame oc payload =
-  let len = Bytes.length payload in
-  if len > max_frame_bytes then failwith "Protocol: frame too large";
-  let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int len);
-  output_bytes oc header;
-  output_bytes oc payload;
-  flush oc
-
-let read_frame ic =
-  let header = Bytes.create 4 in
-  really_input ic header 0 4;
-  let len = Int32.to_int (Bytes.get_int32_be header 0) in
-  if len < 0 || len > max_frame_bytes then
-    failwith (Printf.sprintf "Protocol: refused frame of %d bytes" len);
-  let payload = Bytes.create len in
-  (try really_input ic payload 0 len
-   with End_of_file -> failwith "Protocol: connection died mid-frame");
-  payload
 
 (* ---------------- standalone outcome codec ---------------- *)
 
@@ -574,69 +542,3 @@ let outcome_of_string s =
   if r.pos <> String.length s then
     failwith "Protocol: trailing bytes after outcome";
   o
-
-let write_request oc req = write_frame oc (request_to_bytes req)
-let read_request ic = request_of_bytes (read_frame ic)
-let write_reply oc reply = write_frame oc (reply_to_bytes reply)
-let read_reply ic = reply_of_bytes (read_frame ic)
-
-(* ---------------- descriptor framing ---------------- *)
-
-(* The server and client frame directly over the descriptor instead of
-   buffered channels: a read timeout (SO_RCVTIMEO) then surfaces as
-   [Unix_error (EAGAIN | EWOULDBLOCK)] exactly at the syscall that
-   stalled, which the supervision layer classifies as a reap — a
-   buffered channel would fold it into an unclassifiable [Sys_error]. *)
-
-let rec read_some fd buf off len =
-  try Unix.read fd buf off len
-  with Unix.Unix_error (Unix.EINTR, _, _) -> read_some fd buf off len
-
-let really_read_fd fd buf off len =
-  let rec go off len =
-    if len > 0 then begin
-      let n = read_some fd buf off len in
-      if n = 0 then raise End_of_file;
-      go (off + n) (len - n)
-    end
-  in
-  go off len
-
-let really_write_fd fd buf off len =
-  let rec go off len =
-    if len > 0 then begin
-      let n =
-        try Unix.write fd buf off len
-        with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-      in
-      go (off + n) (len - n)
-    end
-  in
-  go off len
-
-let read_frame_fd fd =
-  let header = Bytes.create 4 in
-  let first = read_some fd header 0 4 in
-  if first = 0 then raise End_of_file;
-  (try really_read_fd fd header first (4 - first)
-   with End_of_file -> failwith "Protocol: connection died mid-frame");
-  let len = Int32.to_int (Bytes.get_int32_be header 0) in
-  if len < 0 || len > max_frame_bytes then
-    failwith (Printf.sprintf "Protocol: refused frame of %d bytes" len);
-  let payload = Bytes.create len in
-  (try really_read_fd fd payload 0 len
-   with End_of_file -> failwith "Protocol: connection died mid-frame");
-  payload
-
-let write_frame_fd fd payload =
-  let len = Bytes.length payload in
-  if len > max_frame_bytes then failwith "Protocol: frame too large";
-  let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int len);
-  really_write_fd fd header 0 4;
-  really_write_fd fd payload 0 len
-
-let write_request_fd fd req = write_frame_fd fd (request_to_bytes req)
-let read_request_fd fd = request_of_bytes (read_frame_fd fd)
-let write_reply_fd fd reply = write_frame_fd fd (reply_to_bytes reply)
-let read_reply_fd fd = reply_of_bytes (read_frame_fd fd)

@@ -1,29 +1,26 @@
-(** The [ssgd] wire protocol: length-prefixed binary frames.
+(** The [ssgd] wire protocol: the payloads of {!Ssg_net.Frame} frames.
 
-    Every message on the Unix-domain socket is one {e frame}: a 4-byte
-    big-endian payload length followed by the payload; the payload's
-    first byte is a constructor tag.  Integers travel as 8-byte
-    big-endian two's complement, floats as their IEEE-754 bits, strings
-    as a length then raw bytes — no escaping, no delimiters, so framing
-    is exact under any kernel buffering and the codec round-trips
+    Every message travels as one frame ({!Ssg_net.Frame.read_fd} /
+    {!Ssg_net.Frame.write_fd}: a 4-byte big-endian length, then the
+    payload); this module only encodes payloads.  A payload's first byte
+    is a constructor tag.  Integers travel as 8-byte big-endian two's
+    complement, floats as their IEEE-754 bits, strings as a length then
+    raw bytes — no escaping, no delimiters, so the codec round-trips
     byte-for-byte (property-tested).
 
-    Clients send {!request}s, the server answers each with exactly one
-    {!reply}, in order, on the same connection — a strict request/reply
-    pipeline per connection; concurrency comes from multiple
-    connections. *)
+    Clients send {!request}s and the server answers each with exactly
+    one {!reply} on the same connection.  A plain request is answered in
+    order; a request in the id envelope ({!Ssg_net.Frame.with_id}) may
+    be answered out of order, its reply carrying the id back. *)
 
 type request =
   | Submit of Job.t
   | Batch of Job.t list  (** one reply carrying one completion per job *)
   | Stats
-  | Trace
-      (** drain the server's trace buffers — answered with
-          {!Trace_events} (empty when tracing is disabled) *)
   | Trace_pull
-      (** fleet trace pull — answered with {!Trace_reports}: like
-          {!Trace} but each buffer comes wrapped in a
-          {!Ssg_obs.Tracer.report} carrying role, pid and the clock
+      (** trace pull — answered with {!Trace_reports}: the server's
+          trace buffers (empty when tracing is disabled), each wrapped
+          in a {!Ssg_obs.Tracer.report} carrying role, pid and the clock
           anchor stitching needs; a router answering it relays the pull
           to every backend and prepends its own report *)
   | Metrics
@@ -55,8 +52,6 @@ type reply =
   | Completed of Job.completion
   | Batch_completed of Job.completion list
   | Stats_snapshot of Telemetry.snapshot
-  | Trace_events of Ssg_obs.Tracer.event list
-      (** the server-side trace, oldest first per domain *)
   | Trace_reports of Ssg_obs.Tracer.report list
       (** fleet pull reply: one report per process reached — a worker
           answers with exactly its own, a router with its own plus one
@@ -84,10 +79,6 @@ type reply =
     per job; the split comes from the worker-side execution span, not
     from a second clock. *)
 
-(** Hard cap on payload size ([16 MiB]); both sides refuse larger frames
-    rather than attempting unbounded allocation on garbage input. *)
-val max_frame_bytes : int
-
 (** Pure codecs (what the qcheck round-trip and decode-fuzz tests
     exercise).  Decoders
     @raise Failure — and {e only} [Failure] — on truncated or malformed
@@ -112,31 +103,3 @@ val reply_of_bytes : Bytes.t -> reply
 val outcome_to_string : Job.outcome -> string
 
 val outcome_of_string : string -> Job.outcome
-
-(** Channel framing.  Writers flush.  Readers
-    @raise End_of_file on a cleanly closed peer,
-    @raise Failure on oversized or malformed frames. *)
-
-val write_frame : out_channel -> Bytes.t -> unit
-
-val read_frame : in_channel -> Bytes.t
-val write_request : out_channel -> request -> unit
-val read_request : in_channel -> request
-val write_reply : out_channel -> reply -> unit
-val read_reply : in_channel -> reply
-
-(** Descriptor framing — same frames, no channel buffering.  The server
-    and client use these so a socket read timeout ([SO_RCVTIMEO])
-    surfaces as [Unix_error (EAGAIN | EWOULDBLOCK)] at the stalled
-    syscall, which supervision classifies as a reaped connection.
-    Readers additionally
-    @raise End_of_file on a peer closed at a frame boundary,
-    @raise Failure on oversized frames or a peer dying mid-frame. *)
-
-val read_frame_fd : Unix.file_descr -> Bytes.t
-
-val write_frame_fd : Unix.file_descr -> Bytes.t -> unit
-val write_request_fd : Unix.file_descr -> request -> unit
-val read_request_fd : Unix.file_descr -> request
-val write_reply_fd : Unix.file_descr -> reply -> unit
-val read_reply_fd : Unix.file_descr -> reply

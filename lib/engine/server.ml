@@ -9,6 +9,23 @@ module Frame = Ssg_net.Frame
    the connection is unusable and must be dropped. *)
 exception Drop_connection
 
+type handler = ?ctx:Ssg_obs.Context.t -> Protocol.request -> Protocol.reply
+
+type limits = {
+  max_connections : int;
+  max_inflight : int;
+  read_timeout_s : float;
+  drain_timeout_s : float;
+}
+
+let limits ?(max_connections = 256) ?(max_inflight = 32) ?(read_timeout_s = 30.)
+    ?(drain_timeout_s = 5.) () =
+  if max_connections < 1 then
+    invalid_arg "Server.limits: max_connections must be >= 1";
+  if max_inflight < 1 then
+    invalid_arg "Server.limits: max_inflight must be >= 1";
+  { max_connections; max_inflight; read_timeout_s; drain_timeout_s }
+
 (* Write one reply, letting the fault plan mangle it first.  [id]
    present means the request arrived in the pipelined id envelope and
    the reply must carry the same id back; [wlock] serializes reply
@@ -22,23 +39,24 @@ let send ?id faults telemetry ~wlock fd reply =
     Mutex.lock wlock;
     Fun.protect ~finally:(fun () -> Mutex.unlock wlock) f
   in
+  let injected () = Option.iter Telemetry.record_injected telemetry in
   match Faults.on_reply faults with
-  | Faults.Deliver -> under_wlock (fun () -> Protocol.write_frame_fd fd payload)
+  | Faults.Deliver -> under_wlock (fun () -> Frame.write_fd fd payload)
   | Faults.Corrupt ->
-      Telemetry.record_injected telemetry;
+      injected ();
       let mangled = Bytes.copy payload in
       if Bytes.length mangled > 0 then
         Bytes.set mangled 0
           (Char.chr (Char.code (Bytes.get mangled 0) lxor 0xFF));
-      under_wlock (fun () -> Protocol.write_frame_fd fd mangled)
+      under_wlock (fun () -> Frame.write_fd fd mangled)
   | Faults.Blackhole ->
       (* The partition plan: swallow the reply, keep the connection.
          The peer sees a live socket that never answers — exactly what
          a blackholed network path looks like — and must save itself
          with its reply deadline. *)
-      Telemetry.record_injected telemetry
+      injected ()
   | Faults.Truncate ->
-      Telemetry.record_injected telemetry;
+      injected ();
       (* Header promises the full frame; deliver only half of it. *)
       let header = Bytes.create 4 in
       Bytes.set_int32_be header 0 (Int32.of_int (Bytes.length payload));
@@ -57,16 +75,17 @@ let send ?id faults telemetry ~wlock fd reply =
 
    Two dialects share the connection, classified frame by frame:
    {ul
-   {- {e plain} frames (the historical format) are answered strictly
-      in order, one request at a time;}
+   {- {e plain} frames are answered strictly in order, inline on this
+      thread, one request at a time;}
    {- {e id-framed} requests ({!Ssg_net.Frame.with_id}) are dispatched
       to their own thread so many may be in flight at once, each reply
       carrying its request's id back — out of order is fine.  At most
       [max_inflight] run concurrently; past the cap the reader handles
       the request inline, which stops it pulling further frames off the
       socket: back-pressure, not queueing.}} *)
-let handle_connection engine faults ~stop ~wake ~active ~max_inflight fd =
-  let telemetry = Engine.telemetry engine in
+let handle_connection ~faults ~telemetry ~stop ~wake ~active ~max_inflight
+    (handler : handler) fd =
+  let count f = Option.iter f telemetry in
   let wlock = Mutex.create () in
   let inflight = Atomic.make 0 in
   (* Set by an in-flight handler that hit a connection-fatal condition
@@ -75,67 +94,23 @@ let handle_connection engine faults ~stop ~wake ~active ~max_inflight fd =
   let send ?id reply =
     (* [with_span] ends the span even when the fault plan raises
        [Drop_connection] mid-write, keeping the track B/E-balanced. *)
-    if Ssg_obs.Tracer.enabled () then
+    if telemetry <> None && Ssg_obs.Tracer.enabled () then
       Ssg_obs.Tracer.with_span "server.reply_write" (fun () ->
           send ?id faults telemetry ~wlock fd reply)
     else send ?id faults telemetry ~wlock fd reply
   in
   let reject ?id msg =
-    Telemetry.record_rejected_frame telemetry;
+    count Telemetry.record_rejected_frame;
     Log.warn (fun m -> m "dropping connection: %s" msg);
     try send ?id (Protocol.Error msg) with _ -> ()
   in
   (* Compute and send the reply for one decoded request; false means
      the connection must carry no further requests.  [ctx] is the trace
      context stripped from the request's envelope, if any — it parents
-     the engine spans this request produces. *)
+     the spans this request produces. *)
   let serve_request ?ctx ?id request =
     try
       match request with
-      | Protocol.Submit job -> (
-          let ticket = Engine.submit ?ctx engine job in
-          match Engine.rejection ticket with
-          | Some diags ->
-              (* A lint rejection is the job's fault, not the
-                 connection's: answer with a protocol Error carrying
-                 the diagnostics and keep serving. *)
-              send ?id (Protocol.Error diags);
-              true
-          | None ->
-              send ?id (Protocol.Completed (Engine.await engine ticket));
-              true)
-      | Protocol.Batch jobs ->
-          send ?id (Protocol.Batch_completed (Engine.run_batch ?ctx engine jobs));
-          true
-      | Protocol.Stats ->
-          send ?id (Protocol.Stats_snapshot (Engine.stats engine));
-          true
-      | Protocol.Trace ->
-          send ?id (Protocol.Trace_events (Ssg_obs.Tracer.events ()));
-          true
-      | Protocol.Trace_pull ->
-          send ?id
-            (Protocol.Trace_reports
-               [ Ssg_obs.Tracer.report_here ~role:"worker" () ]);
-          true
-      | Protocol.Metrics ->
-          send ?id (Protocol.Metrics_text (Engine.prometheus engine));
-          true
-      | Protocol.Join _ | Protocol.Leave _ ->
-          (* Membership ops terminate at the router; a worker receiving
-             one answers with an Error but keeps the connection — it is
-             a misdirected request, not a hostile frame. *)
-          send ?id (Protocol.Error "not a router: membership ops go to ssg route");
-          true
-      | Protocol.Export n ->
-          send ?id (Protocol.Entries (Engine.export engine n));
-          true
-      | Protocol.Transfer entries ->
-          send ?id (Protocol.Transferred (Engine.import engine entries));
-          true
-      | Protocol.Compact ->
-          send ?id (Protocol.Compacted (Engine.compact engine));
-          true
       | Protocol.Shutdown ->
           Log.info (fun m -> m "shutdown requested");
           (* Arm the stop flag before acknowledging: if the reply send
@@ -145,12 +120,15 @@ let handle_connection engine faults ~stop ~wake ~active ~max_inflight fd =
           wake ();
           send ?id Protocol.Shutting_down;
           false
+      | request ->
+          send ?id (handler ?ctx request);
+          true
     with
     | Drop_connection -> false
     | Sys_error _ | Unix.Unix_error _ -> false
     (* EPIPE / ECONNRESET on the reply write: the peer vanished between
        request and reply; the supervised-close path below reclaims the
-       descriptor without touching the daemon. *)
+       descriptor without touching the process. *)
     | e ->
         (* Catch-all supervision boundary: reply if possible, then
            close. *)
@@ -159,14 +137,42 @@ let handle_connection engine faults ~stop ~wake ~active ~max_inflight fd =
         (try send ?id (Protocol.Error msg) with _ -> ());
         false
   in
+  (* One pipelined request on a thread of its own; a connection-fatal
+     outcome stops the reader. *)
+  let serve_async ?ctx ~id request =
+    Atomic.incr inflight;
+    let run () =
+      if not (serve_request ?ctx ~id request) then begin
+        Atomic.set broken true;
+        (* Unstick the reader blocked in read. *)
+        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+        with Unix.Unix_error _ -> ()
+      end
+    in
+    ignore
+      (Thread.create
+         (fun () ->
+           Fun.protect ~finally:(fun () -> Atomic.decr inflight) run)
+         ())
+  in
+  (* A request frame: an optional id envelope around an optional
+     context envelope around the request payload.  Anything that fails
+     to decode is garbage (unknown tag, truncated fields, malformed
+     job, k < 1 …): it is answered, then the connection is dropped — a
+     peer speaking a broken dialect gets no further pipeline. *)
+  let decode frame =
+    let ctx_wire, payload = Frame.split_ctx frame in
+    ( Option.bind ctx_wire Ssg_obs.Context.of_wire,
+      Protocol.request_of_bytes payload )
+  in
   let rec loop () =
     if Atomic.get broken then ()
     else
-      match Protocol.read_frame_fd fd with
+      match Frame.read_fd fd with
       | exception End_of_file -> ()  (* clean hangup between frames *)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           (* SO_RCVTIMEO fired: a half-open or stalled client is reaped. *)
-          Telemetry.record_connection_timeout telemetry;
+          count Telemetry.record_connection_timeout;
           Log.info (fun m -> m "reaping stalled connection")
       | exception Unix.Unix_error _ -> ()
       | exception Failure msg -> reject msg  (* oversized / died mid-frame *)
@@ -174,60 +180,28 @@ let handle_connection engine faults ~stop ~wake ~active ~max_inflight fd =
           match Frame.classify frame with
           | exception Failure msg -> reject msg
           | Frame.Plain frame -> (
-              (* The context envelope (if any) sits where the plain
-                 payload would start; pre-context clients simply never
-                 send it and take the [(None, frame)] path. *)
-              match Frame.split_ctx frame with
+              match decode frame with
               | exception Failure msg -> reject msg
-              | ctx_wire, frame -> (
-                  let ctx = Option.bind ctx_wire Ssg_obs.Context.of_wire in
-                  match Protocol.request_of_bytes frame with
-                  | exception Failure msg ->
-                      (* The frame was well-delimited but its payload is
-                         garbage (unknown tag, truncated fields, malformed
-                         job, k < 1 …): answer, then drop the connection — a
-                         peer speaking a broken dialect gets no further
-                         pipeline. *)
-                      reject msg
-                  | request -> if serve_request ?ctx request then loop ()))
+              | ctx, request -> if serve_request ?ctx request then loop ())
           | Frame.Id (id, inner) -> (
-              match Frame.split_ctx inner with
+              match decode inner with
               | exception Failure msg -> reject ~id msg
-              | ctx_wire, inner -> (
-                  let ctx = Option.bind ctx_wire Ssg_obs.Context.of_wire in
-                  match Protocol.request_of_bytes inner with
-                  | exception Failure msg -> reject ~id msg
-                  | Protocol.Shutdown ->
-                      (* Shutdown is never pipelined past: handle inline so
-                         the loop stops pulling frames. *)
-                      ignore (serve_request ~id Protocol.Shutdown)
-                  | request ->
-                      if Atomic.get inflight >= max_inflight then begin
-                        (* At the cap the reader does the work itself: the
-                           socket is not read again until this request
-                           completes, so a flooding client is throttled by
-                           its own pipe. *)
-                        if serve_request ?ctx ~id request then loop ()
-                      end
-                      else begin
-                        Atomic.incr inflight;
-                        ignore
-                          (Thread.create
-                             (fun () ->
-                               Fun.protect
-                                 ~finally:(fun () -> Atomic.decr inflight)
-                                 (fun () ->
-                                   if not (serve_request ?ctx ~id request)
-                                   then begin
-                                     Atomic.set broken true;
-                                     (* Unstick the reader blocked in
-                                        read. *)
-                                     try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-                                     with Unix.Unix_error _ -> ()
-                                   end))
-                             ())
-                      end;
-                      loop ())))
+              | _, Protocol.Shutdown ->
+                  (* Shutdown is never pipelined past: handle inline so
+                     the loop stops pulling frames. *)
+                  ignore (serve_request ~id Protocol.Shutdown)
+              | ctx, request ->
+                  if Atomic.get inflight >= max_inflight then begin
+                    (* At the cap the reader does the work itself: the
+                       socket is not read again until this request
+                       completes, so a flooding client is throttled by
+                       its own pipe. *)
+                    if serve_request ?ctx ~id request then loop ()
+                  end
+                  else begin
+                    serve_async ?ctx ~id request;
+                    loop ()
+                  end))
   in
   Fun.protect
     ~finally:(fun () ->
@@ -243,14 +217,95 @@ let handle_connection engine faults ~stop ~wake ~active ~max_inflight fd =
        Log.err (fun m ->
            m "connection thread escaped: %s" (Printexc.to_string e)))
 
-let serve ?workers ?queue_capacity ?cache_capacity ?(max_connections = 256)
-    ?(max_inflight = 32) ?(read_timeout_s = 30.) ?(drain_timeout_s = 5.)
-    ?(faults = Faults.off) ?(trace = false) ?persist ?persist_sync
-    ?persist_compact_bytes ?announce ~socket () =
-  if max_connections < 1 then
-    invalid_arg "Server.serve: max_connections must be >= 1";
-  if max_inflight < 1 then
-    invalid_arg "Server.serve: max_inflight must be >= 1";
+let supervise ?(faults = Faults.off) ?telemetry limits listen_fd addr handler =
+  let stop = Atomic.make false in
+  let active = Atomic.make 0 in
+  let wake () = Transport.poke addr in
+  let rec accept_loop () =
+    if not (Atomic.get stop) then begin
+      (match Unix.accept listen_fd with
+      | client_fd, _ ->
+          if Atomic.get stop then (try Unix.close client_fd with _ -> ())
+          else if Atomic.get active >= limits.max_connections then begin
+            (* Over the limit: tell the client why instead of letting it
+               queue behind a connection that will never be served. *)
+            Option.iter Telemetry.record_connection_rejected telemetry;
+            (try
+               Frame.write_fd client_fd
+                 (Protocol.reply_to_bytes
+                    (Protocol.Error "server at connection limit"))
+             with _ -> ());
+            try Unix.close client_fd with _ -> ()
+          end
+          else begin
+            Atomic.incr active;
+            (try Unix.setsockopt client_fd Unix.TCP_NODELAY true
+             with Unix.Unix_error _ -> ());
+            if limits.read_timeout_s > 0. then
+              (try
+                 Unix.setsockopt_float client_fd Unix.SO_RCVTIMEO
+                   limits.read_timeout_s
+               with Unix.Unix_error _ -> ());
+            ignore
+              (Thread.create
+                 (handle_connection ~faults ~telemetry ~stop ~wake ~active
+                    ~max_inflight:limits.max_inflight handler)
+                 client_fd)
+          end
+      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+          ());
+      accept_loop ()
+    end
+  in
+  accept_loop ();
+  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+  (* Drain: let live connections finish their request/reply exchanges
+     instead of abandoning them, bounded by [drain_timeout_s]. *)
+  let deadline = Unix.gettimeofday () +. limits.drain_timeout_s in
+  while Atomic.get active > 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  if Atomic.get active > 0 then
+    Log.warn (fun m ->
+        m "drain timeout: abandoning %d connection(s)" (Atomic.get active))
+
+(* The worker's requests; [Shutdown] never reaches here — the loop
+   handles it. *)
+let worker_handler engine : handler =
+ fun ?ctx -> function
+  | Protocol.Submit job -> (
+      let ticket = Engine.submit ?ctx engine job in
+      match Engine.rejection ticket with
+      | Some diags ->
+          (* A lint rejection is the job's fault, not the connection's:
+             answer with a protocol Error carrying the diagnostics and
+             keep serving. *)
+          Protocol.Error diags
+      | None -> Protocol.Completed (Engine.await engine ticket))
+  | Protocol.Batch jobs ->
+      Protocol.Batch_completed (Engine.run_batch ?ctx engine jobs)
+  | Protocol.Stats -> Protocol.Stats_snapshot (Engine.stats engine)
+  | Protocol.Trace_pull ->
+      Protocol.Trace_reports [ Ssg_obs.Tracer.report_here ~role:"worker" () ]
+  | Protocol.Metrics -> Protocol.Metrics_text (Engine.prometheus engine)
+  | Protocol.Join _ | Protocol.Leave _ ->
+      (* Membership ops terminate at the router; a worker receiving one
+         answers with an Error but keeps the connection — it is a
+         misdirected request, not a hostile frame. *)
+      Protocol.Error "not a router: membership ops go to ssg route"
+  | Protocol.Export n -> Protocol.Entries (Engine.export engine n)
+  | Protocol.Transfer entries ->
+      Protocol.Transferred (Engine.import engine entries)
+  | Protocol.Compact -> Protocol.Compacted (Engine.compact engine)
+  | Protocol.Shutdown -> Protocol.Shutting_down
+
+let serve ?workers ?queue_capacity ?cache_capacity ?max_connections
+    ?max_inflight ?read_timeout_s ?drain_timeout_s ?(faults = Faults.off)
+    ?(trace = false) ?persist ?persist_sync ?persist_compact_bytes ?announce
+    ~socket () =
+  let limits =
+    limits ?max_connections ?max_inflight ?read_timeout_s ?drain_timeout_s ()
+  in
   let addr = Transport.of_string_exn socket in
   if trace then begin
     Ssg_obs.Tracer.reset ();
@@ -274,10 +329,6 @@ let serve ?workers ?queue_capacity ?cache_capacity ?(max_connections = 256)
   let engine =
     Engine.create ?workers ?queue_capacity ?cache_capacity ~faults ?store ()
   in
-  let telemetry = Engine.telemetry engine in
-  let stop = Atomic.make false in
-  let active = Atomic.make 0 in
-  let wake () = Transport.poke addr in
   Log.app (fun m -> m "ssgd listening on %s" (Transport.to_string addr));
   (match store with
   | Some s ->
@@ -324,52 +375,8 @@ let serve ?workers ?queue_capacity ?cache_capacity ?(max_connections = 256)
             (fun () -> Client.leave c self_addr)
         with _ -> ())
   in
-  let rec accept_loop () =
-    if not (Atomic.get stop) then begin
-      (match Unix.accept listen_fd with
-      | client_fd, _ ->
-          if Atomic.get stop then (try Unix.close client_fd with _ -> ())
-          else if Atomic.get active >= max_connections then begin
-            (* Over the limit: tell the client why instead of letting it
-               queue behind a connection that will never be served. *)
-            Telemetry.record_connection_rejected telemetry;
-            (try
-               Protocol.write_reply_fd client_fd
-                 (Protocol.Error "server at connection limit")
-             with _ -> ());
-            try Unix.close client_fd with _ -> ()
-          end
-          else begin
-            Atomic.incr active;
-            (try Unix.setsockopt client_fd Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
-            if read_timeout_s > 0. then
-              (try
-                 Unix.setsockopt_float client_fd Unix.SO_RCVTIMEO
-                   read_timeout_s
-               with Unix.Unix_error _ -> ());
-            ignore
-              (Thread.create
-                 (handle_connection engine faults ~stop ~wake ~active
-                    ~max_inflight)
-                 client_fd)
-          end
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-          ());
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (* Drain: let live connections finish their request/reply exchanges
-     instead of abandoning them, bounded by [drain_timeout_s]. *)
-  let deadline = Unix.gettimeofday () +. drain_timeout_s in
-  while Atomic.get active > 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  if Atomic.get active > 0 then
-    Log.warn (fun m ->
-        m "drain timeout: abandoning %d connection(s)" (Atomic.get active));
+  supervise ~faults ~telemetry:(Engine.telemetry engine) limits listen_fd addr
+    (worker_handler engine);
   retire ();
   Engine.shutdown engine;
   Transport.cleanup addr;

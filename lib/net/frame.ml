@@ -1,8 +1,7 @@
 let max_frame_bytes = 16 * 1024 * 1024
 
-(* 'I' is not a constructor tag of any protocol request ('S' 'B' 'T'
-   'C' 'M' 'Q') or reply ('R' 'L' 'T' 'V' 'M' 'D' 'E'), so the two
-   dialects coexist on one connection, classified frame by frame. *)
+(* 'I' is not the tag of any protocol request, so the two dialects
+   coexist on one connection, classified frame by frame. *)
 let id_magic = 'I'
 
 let with_id ~id payload =
@@ -54,9 +53,11 @@ let split_ctx payload =
 
 (* ---------------- descriptor framing ---------------- *)
 
-(* Same discipline as the engine protocol: frame directly over the
-   descriptor so a read timeout (SO_RCVTIMEO) surfaces as
-   [Unix_error (EAGAIN | EWOULDBLOCK)] exactly at the stalled syscall. *)
+(* The only framing: every client, server and test frames through
+   these.  They work directly on the descriptor, not a buffered
+   channel, so a read timeout (SO_RCVTIMEO) surfaces as
+   [Unix_error (EAGAIN | EWOULDBLOCK)] exactly at the stalled syscall,
+   which the server's supervisor counts as a reaped connection. *)
 
 let rec read_some fd buf off len =
   try Unix.read fd buf off len

@@ -1,17 +1,22 @@
-(** Length-prefixed frames and the request-id envelope.
+(** Length-prefixed frames and the request-id envelope — the only
+    framing in the system.
 
     The wire unit everywhere is a {e frame}: a 4-byte big-endian payload
-    length, then the payload.  This module adds the {e multiplexing
+    length, then the payload.  Every client, server and test reads and
+    writes frames through {!read_fd} / {!write_fd}; {!Ssg_engine.Protocol}
+    only encodes payloads.  This module adds the {e multiplexing
     envelope} on top: a payload whose first byte is {!id_magic} carries
     an 8-byte big-endian request id before the inner payload, and a
     connection carrying id-framed requests may answer them {b out of
     order} — each reply repeats the id of the request it answers.
 
-    Compatibility: the magic byte is not a valid first byte of any plain
-    protocol payload (request and reply tags are distinct constants),
-    so a server can classify each frame independently — old clients
-    that never send the envelope keep the strict in-order request/reply
-    pipeline they always had. *)
+    Two dialects: the magic byte is not the tag of any protocol request,
+    so a server classifies each frame independently, and a client that
+    never sends the envelope keeps a strict in-order request/reply
+    pipeline.  Both stay because they cost differently: the server
+    answers a plain request inline on the connection's thread but gives
+    each id-framed one a handler thread of its own (see
+    {!Ssg_engine.Server}). *)
 
 (** Frames larger than this (16 MiB) are refused by both sides. *)
 val max_frame_bytes : int
@@ -36,11 +41,10 @@ val classify : Bytes.t -> classified
 
 (** {1 Trace-context envelope}
 
-    Same additive-compatibility trick as the id envelope, one layer
-    further in: a payload whose first byte is {!ctx_magic} carries a
-    fixed {!ctx_len}-byte trace context
-    ({!Ssg_obs.Context.to_wire}) before the inner payload.  Pre-context
-    peers never send it and are classified exactly as before; when both
+    Same trick as the id envelope, one layer further in: a payload
+    whose first byte is {!ctx_magic} carries a fixed {!ctx_len}-byte
+    trace context ({!Ssg_obs.Context.to_wire}) before the inner
+    payload.  A request without a context simply omits it; when both
     envelopes are present the id envelope is outermost
     ([with_id ~id (with_ctx ~ctx p)]) so reply correlation never
     depends on context awareness.  Replies never carry a context.  The

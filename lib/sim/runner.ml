@@ -21,8 +21,16 @@ let distinct_inputs n = Array.init n (fun p -> p)
 let shuffled_inputs rng n = Rng.permutation rng n
 let default_rounds adv = Adversary.decision_horizon adv
 
-let describe adv name inputs outcome violations =
+(* [min_k], when the caller already knows it, saves the maximum
+   independent set search; otherwise it comes from the skeleton computed
+   here, which is what [Adversary.min_k] would intersect again. *)
+let describe ?min_k adv name inputs outcome violations =
   let skeleton = Adversary.stable_skeleton adv in
+  let min_k =
+    match min_k with
+    | Some m -> m
+    | None -> Ssg_predicates.Predicate.(min_k (of_skeleton skeleton))
+  in
   {
     adversary = Adversary.name adv;
     algorithm = name;
@@ -31,11 +39,11 @@ let describe adv name inputs outcome violations =
     outcome;
     skeleton;
     analysis = Analysis.analyze skeleton;
-    min_k = Adversary.min_k adv;
+    min_k;
     violations;
   }
 
-let run_kset ?variant ?inputs ?rounds ?(monitor = false) adv =
+let run_kset ?variant ?inputs ?rounds ?(monitor = false) ?min_k adv =
   let (module A : Round_model.ALGORITHM
         with type state = Kset_agreement.state) =
     match variant with
@@ -112,9 +120,9 @@ let run_kset ?variant ?inputs ?rounds ?(monitor = false) adv =
         let exact = outcome.Executor.rounds_run > Adversary.prefix_length adv in
         Monitor.finalize ~final_skeleton_exact:exact m
   in
-  describe adv A.name inputs outcome violations
+  describe ?min_k adv A.name inputs outcome violations
 
-let run_packed alg ?inputs ?rounds adv =
+let run_packed alg ?inputs ?rounds ?min_k adv =
   let n = Adversary.n adv in
   let inputs = match inputs with Some i -> i | None -> distinct_inputs n in
   let rounds = match rounds with Some r -> r | None -> default_rounds adv in
@@ -122,4 +130,4 @@ let run_packed alg ?inputs ?rounds adv =
     Executor.run_packed alg ~inputs ~graphs:(Adversary.graph adv)
       ~max_rounds:rounds
   in
-  describe adv (Round_model.name_of alg) inputs outcome []
+  describe ?min_k adv (Round_model.name_of alg) inputs outcome []

@@ -38,21 +38,26 @@ val default_rounds : Adversary.t -> int
     (or an ablated [variant] from {!Ssg_core.Kset_agreement.make_alg}).
     With [monitor:true] (default [false]) the lemma checkers shadow the
     run; the final skeleton is treated as exact iff the run executed past
-    the adversary's prefix. *)
+    the adversary's prefix.  [min_k], when the caller already computed
+    {!Adversary.min_k}[ adv], is reported as is instead of being
+    searched for again. *)
 val run_kset :
   ?variant:(module Round_model.ALGORITHM
               with type state = Ssg_core.Kset_agreement.state) ->
   ?inputs:int array ->
   ?rounds:int ->
   ?monitor:bool ->
+  ?min_k:int ->
   Adversary.t ->
   report
 
-(** [run_packed alg ?inputs ?rounds adv] executes any packed algorithm
-    (baselines) without monitoring. *)
+(** [run_packed alg ?inputs ?rounds ?min_k adv] executes any packed
+    algorithm (baselines) without monitoring; [min_k] as in
+    {!run_kset}. *)
 val run_packed :
   Round_model.packed ->
   ?inputs:int array ->
   ?rounds:int ->
+  ?min_k:int ->
   Adversary.t ->
   report

@@ -9,6 +9,7 @@
 open Ssg_adversary
 open Ssg_util
 open Ssg_engine
+module Frame = Ssg_net.Frame
 open Ssg_cluster
 
 let check = Alcotest.(check bool)
@@ -394,7 +395,7 @@ let test_blackhole_swallows_reply () =
   (* The shutdown ack is also swallowed; shut down fd-level instead. *)
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
-  Protocol.write_request_fd fd Protocol.Shutdown;
+  Frame.write_fd fd (Protocol.request_to_bytes Protocol.Shutdown);
   Unix.close fd;
   Thread.join thread
 

@@ -393,7 +393,7 @@ let gen_request rng =
   | 0 -> Protocol.Submit (gen_job rng)
   | 1 -> Protocol.Batch (List.init (Rng.int rng 4) (fun _ -> gen_job rng))
   | 2 -> Protocol.Stats
-  | 3 -> Protocol.Trace
+  | 3 -> Protocol.Trace_pull
   | 4 -> Protocol.Metrics
   | 5 -> Protocol.Join "unix:/tmp/w1.sock"
   | 6 -> Protocol.Leave "tcp:127.0.0.1:7001"
@@ -409,7 +409,17 @@ let gen_reply rng =
       Protocol.Batch_completed
         (List.init (Rng.int rng 4) (fun _ -> gen_completion rng))
   | 2 -> Protocol.Stats_snapshot (gen_snapshot rng)
-  | 3 -> Protocol.Trace_events (List.init (Rng.int rng 5) (fun _ -> gen_trace_event rng))
+  | 3 ->
+      Protocol.Trace_reports
+        (List.init (Rng.int rng 3) (fun i ->
+             {
+               Ssg_obs.Tracer.role = (if i = 0 then "router" else "worker");
+               pid = Rng.int rng 100000;
+               epoch_s = Rng.float rng *. 1e9;
+               dropped_events = Rng.int rng 10;
+               events =
+                 List.init (Rng.int rng 5) (fun _ -> gen_trace_event rng);
+             }))
   | 4 -> Protocol.Metrics_text "# TYPE ssgd_jobs_submitted counter\nssgd_jobs_submitted 3\n"
   | 5 -> Protocol.Shutting_down
   | 6 -> Protocol.Ack
@@ -483,18 +493,16 @@ let prop_read_frame_fuzz =
     QCheck2.Gen.(string_size (int_bound 32))
     (fun garbage ->
       let read_fd, write_fd = Unix.pipe () in
-      let oc = Unix.out_channel_of_descr write_fd in
-      let ic = Unix.in_channel_of_descr read_fd in
-      output_string oc garbage;
-      close_out oc;
+      ignore (Unix.write_substring write_fd garbage 0 (String.length garbage));
+      Unix.close write_fd;
       let ok =
-        match Protocol.read_frame ic with
+        match Ssg_net.Frame.read_fd read_fd with
         | (_ : Bytes.t) -> true
         | exception Failure _ -> true
         | exception End_of_file -> true
         | exception _ -> false
       in
-      close_in ic;
+      Unix.close read_fd;
       ok)
 
 (* Lru against a naive most-recent-first association-list model: random
@@ -542,18 +550,23 @@ let prop_lru_model =
 
 let test_protocol_framing_over_pipe () =
   let read_fd, write_fd = Unix.pipe () in
-  let ic = Unix.in_channel_of_descr read_fd in
-  let oc = Unix.out_channel_of_descr write_fd in
   let rng = Rng.of_int 77 in
   let reqs = List.init 5 (fun _ -> gen_request rng) in
-  List.iter (Protocol.write_request oc) reqs;
+  (* Small requests only: a pipe buffers the whole exchange, so the
+     writer never blocks waiting for the reader. *)
   List.iter
-    (fun req -> check "framed request" true (Protocol.read_request ic = req))
+    (fun req -> Ssg_net.Frame.write_fd write_fd (Protocol.request_to_bytes req))
     reqs;
-  close_out oc;
+  let read_request () =
+    Protocol.request_of_bytes (Ssg_net.Frame.read_fd read_fd)
+  in
+  List.iter
+    (fun req -> check "framed request" true (read_request () = req))
+    reqs;
+  Unix.close write_fd;
   check "clean EOF at frame boundary" true
-    (try ignore (Protocol.read_request ic); false with End_of_file -> true);
-  close_in ic
+    (try ignore (read_request ()); false with End_of_file -> true);
+  Unix.close read_fd
 
 let test_protocol_rejects_garbage () =
   check "unknown tag" true

@@ -10,6 +10,7 @@
 open Ssg_adversary
 open Ssg_util
 open Ssg_engine
+module Frame = Ssg_net.Frame
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -70,7 +71,7 @@ let raw_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 (* [Ok reply], [Error `Eof] on a closed connection, [Error `Timeout] if
    nothing arrived before the receive timeout. *)
 let try_read_reply fd =
-  match Protocol.read_reply_fd fd with
+  match Protocol.reply_of_bytes (Frame.read_fd fd) with
   | reply -> Ok reply
   | exception End_of_file -> Error `Eof
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -122,7 +123,7 @@ let k0_submit_payload () =
 let test_k0_submit_gets_error_and_close () =
   let socket, thread, control = start_server () in
   let fd = raw_connect socket in
-  Protocol.write_frame_fd fd (k0_submit_payload ());
+  Frame.write_fd fd (k0_submit_payload ());
   (match try_read_reply fd with
   | Ok (Protocol.Error msg) ->
       check "error names the bad parameter" true
@@ -150,7 +151,7 @@ let test_garbage_and_midframe_disconnects () =
   (* Garbage payload in a well-delimited frame: Error reply, then the
      connection is dropped. *)
   let fd = raw_connect socket in
-  Protocol.write_frame_fd fd (Bytes.of_string "ZZZZ-not-a-request");
+  Frame.write_fd fd (Bytes.of_string "ZZZZ-not-a-request");
   (match try_read_reply fd with
   | Ok (Protocol.Error _) -> ()
   | _ -> Alcotest.fail "garbage frame must be answered with Error");
@@ -160,7 +161,7 @@ let test_garbage_and_midframe_disconnects () =
   (* Oversized frame header: refused outright. *)
   let fd = raw_connect socket in
   let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int (Protocol.max_frame_bytes + 1));
+  Bytes.set_int32_be header 0 (Int32.of_int (Frame.max_frame_bytes + 1));
   ignore (Unix.write fd header 0 4);
   (match try_read_reply fd with
   | Ok (Protocol.Error _) -> ()
@@ -272,7 +273,7 @@ let test_corrupt_and_truncated_replies_fail_cleanly () =
   (* control0 was connected before; its stats exchange will also be
      corrupted, so shut down over a raw socket instead. *)
   let fd = raw_connect socket in
-  Protocol.write_request_fd fd Protocol.Shutdown;
+  Frame.write_fd fd (Protocol.request_to_bytes Protocol.Shutdown);
   ignore (try_read_reply fd);
   raw_close fd;
   Client.close control0;
@@ -290,7 +291,7 @@ let test_corrupt_and_truncated_replies_fail_cleanly () =
   check "truncated reply detected as a mid-frame death" true
     truncation_detected;
   let fd = raw_connect socket in
-  Protocol.write_request_fd fd Protocol.Shutdown;
+  Frame.write_fd fd (Protocol.request_to_bytes Protocol.Shutdown);
   ignore (try_read_reply fd);
   raw_close fd;
   Client.close control0;
@@ -366,7 +367,7 @@ let test_no_fd_leak_under_barrage () =
   (* Hostile traffic of every flavour. *)
   for i = 0 to 4 do
     let fd = raw_connect socket in
-    Protocol.write_frame_fd fd (Bytes.of_string "garbage!");
+    Frame.write_fd fd (Bytes.of_string "garbage!");
     ignore (try_read_reply fd);
     raw_close fd;
     ignore i
@@ -380,7 +381,7 @@ let test_no_fd_leak_under_barrage () =
   done;
   for _ = 0 to 1 do
     let fd = raw_connect socket in
-    Protocol.write_frame_fd fd (k0_submit_payload ());
+    Frame.write_fd fd (k0_submit_payload ());
     ignore (try_read_reply fd);
     ignore (try_read_reply fd);
     raw_close fd
@@ -399,6 +400,72 @@ let test_no_fd_leak_under_barrage () =
         ^ string_of_int after ^ " after")
     true
     (after <= before)
+
+(* ---------------- the router's front end under the same attacks --- *)
+
+(* The router serves its socket through the same supervisor as a
+   worker; the hostile exchanges above must end the same way there:
+   an [Error] reply, then a closed connection, no leaked descriptor,
+   and fresh clients still served. *)
+
+let expect_error_then_close label fd =
+  (match try_read_reply fd with
+  | Ok (Protocol.Error _) -> ()
+  | _ -> Alcotest.fail (label ^ " must be answered with Error"));
+  check (label ^ ": connection closed") true (try_read_reply fd = Error `Eof);
+  raw_close fd
+
+let test_router_front_end_attacks () =
+  Gc.full_major ();
+  let before = open_fds () in
+  let worker, wthread, wcontrol = start_server () in
+  let router = fresh_socket () in
+  let rthread =
+    Thread.create
+      (fun () ->
+        Ssg_cluster.Router.serve ~probe_interval_s:0.05 ~request_timeout_s:10.
+          ~drain_timeout_s:5. ~backends:[ worker ] ~socket:router ())
+      ()
+  in
+  let control = Client.connect ~retries:8 ~socket:router ~deadline_s:10. () in
+  let fd = raw_connect router in
+  Frame.write_fd fd (Bytes.of_string "ZZZZ-not-a-request");
+  expect_error_then_close "garbage frame" fd;
+  (* 'C' was the tag of the removed Trace request: now just garbage, on
+     the router and on the worker alike. *)
+  List.iter
+    (fun socket ->
+      let fd = raw_connect socket in
+      Frame.write_fd fd (Bytes.of_string "C");
+      expect_error_then_close "request tag 'C'" fd)
+    [ router; worker ];
+  let fd = raw_connect router in
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int (Frame.max_frame_bytes + 1));
+  ignore (Unix.write fd header 0 4);
+  expect_error_then_close "oversized frame" fd;
+  (* Mid-frame disconnect: promise 100 bytes, deliver 10, vanish. *)
+  let fd = raw_connect router in
+  Bytes.set_int32_be header 0 100l;
+  ignore (Unix.write fd header 0 4);
+  ignore (Unix.write fd (Bytes.make 10 'x') 0 10);
+  raw_close fd;
+  let fresh = Client.connect ~socket:router ~deadline_s:10. () in
+  let ok = Client.submit fresh (sample_job ~seed:77 ()) in
+  check "router serves a fresh client after the attacks" true
+    (Result.is_ok ok.Job.result);
+  Client.close fresh;
+  Client.shutdown control;
+  Client.close control;
+  Thread.join rthread;
+  stop_server wcontrol wthread;
+  Gc.full_major ();
+  Thread.delay 0.05;
+  let after = open_fds () in
+  check
+    ("no leaked fds: " ^ string_of_int before ^ " before, "
+   ^ string_of_int after ^ " after")
+    true (after <= before)
 
 let tests =
   [
@@ -422,4 +489,6 @@ let tests =
       test_shutdown_drains_inflight_request;
     Alcotest.test_case "no fd leak under hostile barrage" `Quick
       test_no_fd_leak_under_barrage;
+    Alcotest.test_case "router front end: hostile frames" `Quick
+      test_router_front_end_attacks;
   ]

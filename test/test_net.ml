@@ -584,7 +584,12 @@ let test_client_vanishes_before_reply () =
   let addr = Transport.of_string_exn socket in
   (* Plain dialect: send a submit, close before the reply arrives. *)
   let fd = Transport.connect addr in
-  Protocol.write_request_fd fd (Protocol.Submit (good_job ~inputs:(Array.init 6 (fun j -> 7000 + j)) ~rounds:4000 ()));
+  Frame.write_fd fd
+    (Protocol.request_to_bytes
+       (Protocol.Submit
+          (good_job
+             ~inputs:(Array.init 6 (fun j -> 7000 + j))
+             ~rounds:4000 ())));
   Unix.close fd;
   (* Pipelined dialect: same, through the id envelope. *)
   let fd = Transport.connect addr in
@@ -613,7 +618,7 @@ let test_ctx_compat_both_dialects () =
   let socket, thread = start_server () in
   let addr = Transport.of_string_exn socket in
   let expect_completed fd label =
-    match Protocol.read_reply_fd fd with
+    match Protocol.reply_of_bytes (Frame.read_fd fd) with
     | Protocol.Completed completion ->
         check label true (Result.is_ok completion.Job.result)
     | _ -> Alcotest.fail (label ^ ": Completed expected")
@@ -621,8 +626,10 @@ let test_ctx_compat_both_dialects () =
   (* Plain dialect, pre-context client: the request bytes carry no
      envelope at all. *)
   let fd = Transport.connect addr in
-  Protocol.write_request_fd fd
-    (Protocol.Submit (good_job ~inputs:(Array.init 6 (fun j -> 9000 + j)) ()));
+  Frame.write_fd fd
+    (Protocol.request_to_bytes
+       (Protocol.Submit
+          (good_job ~inputs:(Array.init 6 (fun j -> 9000 + j)) ())));
   expect_completed fd "plain pre-context served";
   (* Plain dialect, ctx-framed: the envelope spliced in by hand, the
      same framing the server's reader sees from [Client.rpc ?ctx]. *)

@@ -657,7 +657,13 @@ let test_trace_pull_from_live_daemon () =
       (match (Ssg_engine.Client.submit c job).Ssg_engine.Job.result with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "job failed: %s" msg);
-      let events = Ssg_engine.Client.trace c in
+      let events =
+        match Ssg_engine.Client.trace_pull c with
+        | [ r ] ->
+            check "the worker reports itself" true (r.Tracer.role = "worker");
+            r.Tracer.events
+        | rs -> Alcotest.failf "expected one report, got %d" (List.length rs)
+      in
       let has name kind =
         List.exists
           (fun (e : Tracer.event) ->
